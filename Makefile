@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full bench-query traffic examples clean lint bench-smoke fault-matrix ci coverage
+.PHONY: install test bench bench-full bench-query traffic examples clean lint bench-smoke fault-matrix perfbench ci coverage
 
 # Editable install with the consolidated dev dependency list — the same
 # `[project.optional-dependencies] dev` extra every CI job installs from.
@@ -89,12 +89,18 @@ coverage:
 fault-matrix:
 	PYTHONPATH=src $(PYTHON) scripts/run_fault_matrix.py --audit-dir benchmarks/out
 
-# Mirror the full CI workflow locally: tier-1 tests, lint, fault matrix,
+# The CI perfbench job: tiny (--seconds 1) runs of every benchmark workload
+# with the seed-1 output digest checks, so engine event-order drift fails fast.
+perfbench:
+	$(PYTHON) -m pytest perfbench -q
+
+# Mirror the full CI workflow locally: tier-1 tests, lint, fault matrix, perfbench,
 # bench smoke + gate.
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(MAKE) lint
 	$(MAKE) fault-matrix
+	$(MAKE) perfbench
 	$(MAKE) bench-smoke
 
 clean:

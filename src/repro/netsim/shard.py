@@ -28,11 +28,18 @@ window protocol:
   monolithic engine, including zero-delay dispatch sends into shard
   heaps.
 
-``shards=1`` collapses the driver and the single shard into one inner
-:class:`Simulator`, making the sharded engine bit-identical to the
-monolithic one (same counters, same traces). The message-conservation
-invariant ``sent + duplicated == delivered + dropped + pending`` is
-checked at every barrier to validate the cross-shard exchange.
+Every lane is a :class:`Simulator` and runs its window through the
+engine's one event loop (``Simulator._run``), in-process and in worker
+mode alike; each lane folds its deferred delivery telemetry into the
+shared registry when its window returns. Cross-shard copies enter the
+destination heap at the barrier as ordinary ``(time, seq, fn, arg)``
+delivery entries. The lookahead is the plan's, unchanged by the loop.
+
+``shards=1`` collapses the driver and the single shard into one lane,
+making the sharded engine bit-identical to the monolithic one (same
+counters, same traces). The message-conservation invariant
+``sent + duplicated == delivered + dropped + pending`` is checked at
+every barrier to validate the cross-shard exchange.
 """
 
 from __future__ import annotations
@@ -40,20 +47,9 @@ from __future__ import annotations
 import heapq
 import math
 import multiprocessing
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -283,54 +279,56 @@ class _ShardLane(Simulator):
     The driver lane (``shard_id == DRIVER``) is special: it only executes
     at global barriers, when every lane's clock equals its own, so its
     sends insert directly into the destination heaps — zero-delay driver
-    dispatches (the traffic engine's batch flush) stay exact.
+    dispatches (the traffic engine's batch flush) stay exact. A lane
+    without a plan (the single-shard collapse) keeps every copy local.
     """
 
     def __init__(
         self,
         shard_id: int,
         *,
-        route: Optional[Callable[[Address], int]],
-        lookahead: float,
+        plan: Optional[ShardPlan],
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         super().__init__(telemetry=telemetry)
         self.shard_id = shard_id
-        self._route = route
-        self._lookahead = lookahead
+        self._plan = plan
+        self._proxy_shard = plan.proxy_shard if plan is not None else None
         self._outbox: List[OutboxEntry] = []
         self._lanes: Dict[int, "_ShardLane"] = {}
 
-    # -- delivery routing --------------------------------------------------------
-
     def _schedule_delivery(self, message: Message, sent_at: float, delay: float) -> None:
-        route = self._route
-        if route is None:  # single-shard collapse: everything is local
-            super()._schedule_delivery(message, sent_at, delay)
-            return
-        dest = route(message.recipient)
-        if dest == self.shard_id:
-            super()._schedule_delivery(message, sent_at, delay)
-            return
+        proxy_shard = self._proxy_shard
+        if proxy_shard is not None:
+            dest = proxy_shard.get(message.recipient)
+            if dest is None:  # tuple or unpartitioned address
+                dest = self._plan.shard_of(message.recipient)  # type: ignore[union-attr]
+            if dest != self.shard_id:
+                self._export(dest, message, sent_at, delay)
+                return
+        Simulator._schedule_delivery(self, message, sent_at, delay)
+
+    def _export(self, dest: int, message: Message, sent_at: float, delay: float) -> None:
         if self.shard_id == DRIVER:
-            lane = self._lanes[dest]
-            lane.push_delivery(self.now + delay, message, sent_at)
+            self._lanes[dest].push_delivery(sent_at + delay, message, sent_at)
             return
-        if delay < self._lookahead:
+        lookahead = self._plan.lookahead  # type: ignore[union-attr]
+        if delay < lookahead:
             raise StateError(
                 f"cross-shard send {message.sender!r} -> {message.recipient!r} "
-                f"with delay {delay} below the lookahead {self._lookahead}; "
+                f"with delay {delay} below the lookahead {lookahead}; "
                 "the shard plan's lookahead must lower-bound every cross-shard delay"
             )
         self._n_undelivered += 1
         self._outbox.append(
-            (self.now + delay, self.shard_id, next(self._counter), message, sent_at)
+            (sent_at + delay, self.shard_id, next(self._counter), message, sent_at)
         )
 
     def push_delivery(self, arrival: float, message: Message, sent_at: float) -> None:
         """Insert one delivery copy at absolute time *arrival*."""
+        self._n_undelivered += 1
         heapq.heappush(
-            self._heap, (arrival, next(self._counter), self._delivery_action(message, sent_at))
+            self._heap, (arrival, next(self._counter), self._deliver_fn, (message, sent_at))
         )
 
     def take_outbox(self) -> List[OutboxEntry]:
@@ -338,8 +336,6 @@ class _ShardLane(Simulator):
         out, self._outbox = self._outbox, []
         self._n_undelivered -= len(out)
         return out
-
-    # -- windowed execution ------------------------------------------------------
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the earliest queued event, or None."""
@@ -352,32 +348,13 @@ class _ShardLane(Simulator):
         unlike :meth:`Simulator.run_until` this does not enter
         ``_running`` — lanes are never the active clock, their parent is.
         """
-        heap = self._heap
-        if inclusive:
-            while heap and heap[0][0] <= upto:
-                time, _, action = heapq.heappop(heap)
-                self.now = time
-                self._n_events += 1
-                action()
-            self.now = max(self.now, upto)
-        else:
-            while heap and heap[0][0] < upto:
-                time, _, action = heapq.heappop(heap)
-                self.now = time
-                self._n_events += 1
-                action()
-            self.now = upto
+        # t < upto  <=>  t <= the largest float below upto
+        self._run(upto if inclusive else math.nextafter(upto, -math.inf))
+        self.now = max(self.now, upto) if inclusive else upto
 
     def stats(self) -> Dict[str, int]:
-        """Plain-int conservation tallies (cheap to ship across processes)."""
-        return {
-            "sent": self._n_sent,
-            "duplicated": self._n_duplicated,
-            "delivered": self._n_delivered,
-            "dropped": self._n_dropped,
-            "pending": self._n_undelivered,
-            "events": self._n_events,
-        }
+        """Plain-int conservation tallies and event count (cheap to ship)."""
+        return {**self.conservation(), "events": self._n_events}
 
 
 # -- the sharded engine ---------------------------------------------------------
@@ -401,21 +378,16 @@ class ShardedSimulator(Simulator):
         self.exchanged = 0
         telemetry = telemetry if telemetry is not None else Telemetry()
         if plan.shards == 1:
-            single = _ShardLane(0, route=None, lookahead=math.inf, telemetry=telemetry)
+            single = _ShardLane(0, plan=None, telemetry=telemetry)
             self._single: Optional[_ShardLane] = single
             self._lanes: List[_ShardLane] = [single]
             self._driver = single
         else:
             self._single = None
             self._lanes = [
-                _ShardLane(
-                    s, route=plan.shard_of, lookahead=plan.lookahead, telemetry=telemetry
-                )
-                for s in range(plan.shards)
+                _ShardLane(s, plan=plan, telemetry=telemetry) for s in range(plan.shards)
             ]
-            self._driver = _ShardLane(
-                DRIVER, route=plan.shard_of, lookahead=plan.lookahead, telemetry=telemetry
-            )
+            self._driver = _ShardLane(DRIVER, plan=plan, telemetry=telemetry)
             lanes_by_id = {lane.shard_id: lane for lane in self._lanes}
             lanes_by_id[DRIVER] = self._driver
             for lane in self._all_lanes():
@@ -500,40 +472,23 @@ class ShardedSimulator(Simulator):
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         self._context_lane().schedule(delay, action)
 
-    def schedule_every(
-        self,
-        period: float,
-        action: Callable[[], None],
-        *,
-        first_delay: Optional[float] = None,
-        until: Optional[float] = None,
-        owner: Optional[Address] = None,
-    ) -> None:
-        self._context_lane().schedule_every(
-            period, action, first_delay=first_delay, until=until, owner=owner
-        )
-
     def send(self, message: Message, delay: float) -> None:
         self._context_lane().send(message, delay)
 
     # -- conservation ------------------------------------------------------------
 
     def conservation(self) -> Dict[str, int]:
-        tallies = {"sent": 0, "duplicated": 0, "delivered": 0, "dropped": 0, "pending": 0}
+        totals: Dict[str, int] = {}
         for lane in self._all_lanes():
-            tallies["sent"] += lane._n_sent
-            tallies["duplicated"] += lane._n_duplicated
-            tallies["delivered"] += lane._n_delivered
-            tallies["dropped"] += lane._n_dropped
-            tallies["pending"] += lane._n_undelivered
-        # copies buffered in outboxes are pending too (already transferred
-        # out of their lane's count by take_outbox — not the case here,
-        # where outboxes are drained only at barriers)
-        tallies["balanced"] = int(
-            tallies["sent"] + tallies["duplicated"]
-            == tallies["delivered"] + tallies["dropped"] + tallies["pending"]
-        )
-        return tallies
+            _merge_stats(totals, lane.conservation())
+        # a copy waiting in an outbox stays in its sending lane's pending
+        # count until take_outbox hands it over at the barrier, so the lane
+        # tallies already include every outbox
+        return _balance(totals)
+
+    def _fold(self) -> None:
+        for lane in self._all_lanes():
+            lane._fold()
 
     def _check_conservation(self) -> None:
         tallies = self.conservation()
@@ -564,22 +519,13 @@ class ShardedSimulator(Simulator):
 
     # -- execution ---------------------------------------------------------------
 
-    @contextmanager
-    def _activated(self, lane: _ShardLane) -> Iterator[None]:
+    def _run_lane(self, lane: _ShardLane, upto: float, *, inclusive: bool = True) -> None:
+        """Run one window of *lane* as the executing lane (``now`` follows it)."""
         self._active = lane
         try:
-            yield
+            lane.run_window(upto, inclusive=inclusive)
         finally:
             self._active = None
-
-    def _run_lane(self, lane: _ShardLane, upto: float, *, inclusive: bool) -> None:
-        with self._activated(lane):
-            lane.run_window(upto, inclusive=inclusive)
-
-    def _drain_driver(self, upto: float) -> None:
-        """Run driver events with time <= *upto* at a global barrier."""
-        with self._activated(self._driver):
-            self._driver.run_window(upto, inclusive=True)
 
     def _exchange(self) -> None:
         """Merge all outboxes into destination heaps, deterministically."""
@@ -597,10 +543,9 @@ class ShardedSimulator(Simulator):
     def run_until(self, end_time: float) -> None:
         """Process events with timestamp <= *end_time* across all lanes."""
         if self._single is not None:
-            single = self._single
-            with self._running(), self._activated(single):
-                single.run_window(end_time, inclusive=True)
-            self._barrier = single.now
+            with self._running():
+                self._run_lane(self._single, end_time)
+            self._barrier = self._single.now
             return
         with self._running():
             self._advance(end_time)
@@ -615,7 +560,7 @@ class ShardedSimulator(Simulator):
             # Driver events run only at barriers, where every lane's clock
             # equals the driver's — monolithic semantics for global timers
             # and zero-delay dispatches.
-            self._drain_driver(barrier)
+            self._run_lane(driver, barrier)
             t_driver = driver.peek_time()
             window_end = min(
                 barrier + lookahead,
@@ -630,7 +575,7 @@ class ShardedSimulator(Simulator):
             self.windows += 1
             self._check_conservation()
         # the final instant: events stamped exactly end_time
-        self._drain_driver(end_time)
+        self._run_lane(driver, end_time)
         for lane in self._lanes:
             self._run_lane(lane, end_time, inclusive=True)
         self._exchange()
@@ -640,17 +585,17 @@ class ShardedSimulator(Simulator):
     def run_all(self, max_events: int = 1_000_000) -> None:
         """Drain every lane completely (bounded by *max_events*)."""
         if self._single is not None:
-            single = self._single
-            with self._activated(single):
-                try:
-                    single.run_all(max_events)
-                finally:
-                    self._barrier = single.now
+            self._active = self._single
+            try:
+                self._single.run_all(max_events)
+            finally:
+                self._active = None
+                self._barrier = self._single.now
             return
         start = self.events_processed
         while self.pending_events:
             horizon = max(
-                (max(t for t, _, _ in lane._heap) for lane in self._all_lanes() if lane._heap),
+                (max(e[0] for e in lane._heap) for lane in self._all_lanes() if lane._heap),
                 default=self._barrier,
             )
             horizon = max(
@@ -709,12 +654,12 @@ def _merge_stats(totals: Dict[str, int], stats: Dict[str, int]) -> None:
         totals[key] = totals.get(key, 0) + value
 
 
-def _balance(totals: Dict[str, int], in_transit: int) -> Dict[str, int]:
-    tallies = dict(totals)
-    tallies["pending"] = tallies.get("pending", 0) + in_transit
+def _balance(totals: Dict[str, int]) -> Dict[str, int]:
+    """The conservation ledger of summed lane tallies (events left out)."""
+    tallies = {k: v for k, v in totals.items() if k != "events"}
     tallies["balanced"] = int(
-        tallies.get("sent", 0) + tallies.get("duplicated", 0)
-        == tallies.get("delivered", 0) + tallies.get("dropped", 0) + tallies["pending"]
+        tallies["sent"] + tallies["duplicated"]
+        == tallies["delivered"] + tallies["dropped"] + tallies["pending"]
     )
     return tallies
 
@@ -724,9 +669,7 @@ def _worker_main(
 ) -> None:
     try:
         telemetry = Telemetry()
-        lane = _ShardLane(
-            shard, route=plan.shard_of, lookahead=plan.lookahead, telemetry=telemetry
-        )
+        lane = _ShardLane(shard, plan=plan, telemetry=telemetry)
         view = plan.views[shard] if plan.views else None
         program.setup(lane, view, plan)
         barrier = 0.0
@@ -812,7 +755,7 @@ def run_sharded(
     conns = [parent for parent, _ in pipes]
     windows = 0
     exchanged = 0
-    in_transit = 0
+
     def _recv(conn: Any) -> Tuple[str, Any]:
         tag, payload = conn.recv()
         if tag == "error":
@@ -859,9 +802,7 @@ def run_sharded(
             proc.join(timeout=30)
             if proc.is_alive():  # pragma: no cover - hang guard
                 proc.terminate()
-    tallies = _balance(
-        {k: v for k, v in totals.items() if k != "events"}, in_transit
-    )
+    tallies = _balance(totals)
     if not tallies["balanced"]:
         raise StateError(f"cross-shard message conservation violated: {tallies}")
     return ShardRunResult(

@@ -22,13 +22,16 @@ identically. Two formats coexist:
   streams, see ``StateDistributionProtocol.snapshot_state_plane``) so
   crash/restart scenarios can reload knowledge instead of re-learning it.
 
-Delay-oracle caches are rebuilt lazily after loading; measurement-noise RNG
-state is *not* preserved (a loaded framework issues fresh measurements).
+Delay-oracle caches are rebuilt lazily after loading. The build's
+measurement-noise RNG state is *not* preserved; a restore seeds a fresh
+stream from the topology, so every load of one artifact measures the same
+noise (and joins after a warm start land on the same coordinates).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -117,6 +120,21 @@ def framework_to_dict(framework: HFCFramework) -> Dict[str, Any]:
     }
 
 
+def _restored_network(
+    topology: PhysicalTopology, noise: float, edges: np.ndarray
+) -> PhysicalNetwork:
+    """The delay oracle of a restored framework, with reproducible noise.
+
+    Artifacts do not record the build's noise stream, so the restore seeds
+    it from the stored topology itself (the ``(u, v, weight)`` rows of
+    *edges* and the noise level): each load of one artifact measures the
+    same noise, and artifacts written before this rule load the same way.
+    """
+    fingerprint = repr(noise).encode() + np.ascontiguousarray(edges).tobytes()
+    seed = int.from_bytes(hashlib.sha256(fingerprint).digest()[:8], "big")
+    return PhysicalNetwork(topology, noise=noise, seed=seed)
+
+
 def framework_from_dict(payload: Dict[str, Any]) -> HFCFramework:
     """Reconstruct a framework from :func:`framework_to_dict` output."""
     version = payload.get("format_version")
@@ -150,7 +168,11 @@ def framework_from_dict(payload: Dict[str, Any]) -> HFCFramework:
         node_kind=node_kind,
         stub_domain=stub_domain,
     )
-    physical = PhysicalNetwork(topology, noise=payload["physical"]["noise"])
+    physical = _restored_network(
+        topology,
+        payload["physical"]["noise"],
+        np.asarray(payload["physical"]["edges"], dtype=float),
+    )
 
     proxies = list(payload["overlay"]["proxies"])
     placement = {
@@ -417,7 +439,9 @@ def load_snapshot(path: str) -> OverlaySnapshot:
         node_kind=node_kind,
         stub_domain=stub_domain,
     )
-    physical = PhysicalNetwork(topology, noise=meta["noise"])
+    physical = _restored_network(
+        topology, meta["noise"], np.column_stack([arrays["edge_uv"], arrays["edge_w"]])
+    )
 
     columnar = ColumnarOverlayState(
         proxies=arrays["proxies"],

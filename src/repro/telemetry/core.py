@@ -157,6 +157,9 @@ class _NullMetric:
     def observe(self, value: float) -> None:
         pass
 
+    def observe_many(self, values: Any) -> None:
+        pass
+
 
 class _NullRegistry(MetricsRegistry):
     _NULL = _NullMetric()

@@ -24,6 +24,9 @@ exact while ``--telemetry-out`` sees the whole process.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.util.errors import TelemetryError
@@ -142,6 +145,25 @@ class Histogram:
         if value > self.max:
             self.max = value
         self.bucket_counts[bisect_right(self.bounds, value)] += 1
+
+    def observe_many(self, values: List[float]) -> None:
+        """Record *values* in order; exactly equal to one ``observe`` each.
+
+        The running total adds the samples one at a time in the given
+        order, so the float sum matches a sample-by-sample recording.
+        """
+        if not values:
+            return
+        self.count += len(values)
+        self.total = reduce(add, values, self.total)
+        low, high = min(values), max(values)
+        if low < self.min:
+            self.min = low
+        if high > self.max:
+            self.max = high
+        counts = self.bucket_counts
+        for slot in map(bisect_right, repeat(self.bounds), values):
+            counts[slot] += 1
 
     @property
     def mean(self) -> float:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -112,24 +112,55 @@ def _mix(a: int, b: int, c: int = 0) -> int:
     return h
 
 
-class _Relay(Process):
-    """Per-proxy hop forwarder for :class:`UniformTraffic`.
+#: slots of a shard's plain-int tally; a hop's slot is HOPS_INTRA or HOPS_CROSS
+REQUESTS, COMPLETED, HOPS_INTRA, HOPS_CROSS = range(4)
+_TALLY_NAMES = ("requests", "completed", "hops_intra", "hops_cross")
 
-    Counters hang off the relay, not the program: one program instance
-    sets up every shard in-process, so per-shard state must live with
-    the shard's processes.
+
+class _Relay(Process):
+    """Per-proxy request issuer and hop forwarder for :class:`UniformTraffic`.
+
+    The tally hangs off the relay, not the program: one program instance
+    sets up every shard in-process, so per-shard state must live with the
+    shard's processes. A request travels as a linked route
+    ``(proxy, delay, tally slot, rest)`` built when it is issued; each
+    relay pops one hop and forwards the rest, and ``rest=None`` marks
+    the destination.
     """
 
     def __init__(
-        self, address: Any, program: "UniformTraffic", shard: int, counters: Dict[str, Any]
+        self, address: Any, program: "UniformTraffic", row: int, cluster: int, tally: List[int]
     ) -> None:
         super().__init__(address)
         self.program = program
-        self.shard = shard
-        self.counters = counters
+        self.row = row
+        self.cluster = cluster
+        self.tally = tally
+        self.issued = 0
+
+    def issue(self) -> None:
+        program = self.program
+        route = program._route(self.row, self.cluster, self.issued)
+        self.tally[REQUESTS] += 1
+        self.issued += 1
+        if route is None:
+            self.tally[COMPLETED] += 1
+        else:
+            self._forward(route)
+        sim = self.simulator
+        if sim.now + program.period < program.duration:  # type: ignore[union-attr]
+            sim.schedule(program.period, self.issue)  # type: ignore[union-attr]
 
     def receive(self, message: Message) -> None:
-        self.program._hop(self, message)
+        if message.payload is None:
+            self.tally[COMPLETED] += 1
+        else:
+            self._forward(message.payload)
+
+    def _forward(self, route: Tuple[int, float, int, Any]) -> None:
+        proxy, delay, slot, rest = route
+        self.tally[slot] += 1
+        self.simulator.send(Message(self.address, proxy, "hop", rest), delay)  # type: ignore[union-attr]
 
 
 class UniformTraffic(ShardProgram):
@@ -140,6 +171,11 @@ class UniformTraffic(ShardProgram):
     source → border(src-cluster → dst-cluster) → border(dst → src) →
     destination, where the destination cluster and member come from
     ``hash(seed, p, k)``. Hop delays are coordinate distances.
+
+    The first :meth:`setup` resolves the columns the handlers read into
+    plain Python lists (coordinates as tuples, proxy ids, cluster members
+    and pointers, borders, and each row's shard), so no handler touches
+    a numpy scalar.
     """
 
     def __init__(
@@ -157,103 +193,82 @@ class UniformTraffic(ShardProgram):
         self.seed = seed
         # shared numpy columns (copy-on-write under fork, pickled once
         # per worker under spawn)
-        self.coords = state.coords
-        self.proxies = state.proxies
-        self.labels = state.labels
-        self.cluster_ptr = state.cluster_ptr
-        self.cluster_members = state.cluster_members
-        self.border_matrix = state.border_matrix
+        self.state = state
+        self._plan: Optional[ShardPlan] = None
+        self._tallies: Dict[int, List[int]] = {}
+
+    def _resolve(self, plan: ShardPlan) -> None:
+        state = self.state
+        row_shard = np.empty(state.size, dtype=np.int64)
+        for view in plan.views:
+            row_shard[view.member_rows] = view.shard
+        self._row_shard = row_shard.tolist()
+        self._coords = list(map(tuple, state.coords.tolist()))
+        self._proxies = state.proxies.tolist()
+        self._members = state.cluster_members.tolist()
+        self._ptr = state.cluster_ptr.tolist()
+        self._borders = state.border_matrix.tolist()
+        self._plan = plan
 
     # -- ShardProgram ------------------------------------------------------------
 
     def setup(self, sim: Simulator, view: Optional[ColumnarShard], plan: ShardPlan) -> None:
         if view is None:
             raise StateError("UniformTraffic needs the shard's columnar view")
-        shard = view.shard
-        registry = sim.telemetry.registry
-        label = str(shard)
-        counters = {
-            "requests": registry.counter("shardload.requests", shard=label),
-            "completed": registry.counter("shardload.completed", shard=label),
-            "hops_intra": registry.counter("shardload.hops", shard=label, reach="intra"),
-            "hops_cross": registry.counter("shardload.hops", shard=label, reach="cross"),
-        }
-        self._plan = plan
-        for row in view.member_rows:
-            row = int(row)
-            proxy = int(self.proxies[row])
-            relay = _Relay(proxy, self, shard, counters)
+        if self._plan is not plan:
+            self._resolve(plan)
+        tally = self._tallies[view.shard] = [0, 0, 0, 0]
+        rows = view.member_rows.tolist()
+        labels = self.state.labels[view.member_rows].tolist()
+        for row, cluster in zip(rows, labels):
+            proxy = self._proxies[row]
+            relay = _Relay(proxy, self, row, cluster, tally)
             sim.register(relay)
             phase = (_mix(self.seed, proxy) % 10_000) / 10_000.0 * self.period
-            sim.schedule(phase, self._issuer(sim, relay, row))
+            sim.schedule(phase, relay.issue)
 
     def collect(self, sim: Simulator) -> Dict[str, int]:
-        shard = str(getattr(sim, "shard_id", 0))
+        """Fold the shard's tally into its ``shardload.*`` counters and return them."""
+        shard = getattr(sim, "shard_id", 0)
+        tally = self._tallies.get(shard, [0, 0, 0, 0])
         registry = sim.telemetry.registry
-        return {
-            "shard": int(shard),
-            "events": sim.events_processed,
-            "requests": registry.counter("shardload.requests", shard=shard).value,
-            "completed": registry.counter("shardload.completed", shard=shard).value,
-            "hops_intra": registry.counter(
-                "shardload.hops", shard=shard, reach="intra"
-            ).value,
-            "hops_cross": registry.counter(
-                "shardload.hops", shard=shard, reach="cross"
-            ).value,
-        }
+        counters = (  # in tally-slot order
+            registry.counter("shardload.requests", shard=shard),
+            registry.counter("shardload.completed", shard=shard),
+            registry.counter("shardload.hops", shard=shard, reach="intra"),
+            registry.counter("shardload.hops", shard=shard, reach="cross"),
+        )
+        result = {"shard": shard, "events": sim.events_processed}
+        for slot, (name, counter) in enumerate(zip(_TALLY_NAMES, counters)):
+            counter.inc(tally[slot])
+            tally[slot] = 0
+            result[name] = counter.value
+        return result
 
     # -- workload ----------------------------------------------------------------
 
-    def _issuer(self, sim: Simulator, relay: _Relay, row: int):
-        counter = {"k": 0}
-
-        def issue() -> None:
-            self._issue(sim, relay, row, counter["k"])
-            counter["k"] += 1
-            if sim.now + self.period < self.duration:
-                sim.schedule(self.period, issue)
-
-        return issue
-
-    def _issue(self, sim: Simulator, relay: _Relay, row: int, k: int) -> None:
-        relay.counters["requests"].inc()
-        src_cluster = int(self.labels[row])
-        cluster_count = int(self.cluster_ptr.shape[0]) - 1
+    def _route(self, row: int, src_cluster: int, k: int) -> Optional[Tuple[int, float, int, Any]]:
+        """The linked hop route of request *k* of *row*; None if it is local."""
+        ptr = self._ptr
         h = _mix(self.seed, row, k)
-        dst_cluster = h % cluster_count
-        lo, hi = int(self.cluster_ptr[dst_cluster]), int(self.cluster_ptr[dst_cluster + 1])
-        dst_row = int(self.cluster_members[lo + _mix(h, k, 1) % (hi - lo)])
-        if dst_cluster == src_cluster:
-            path = (row, dst_row) if dst_row != row else (row,)
+        dst_cluster = h % (len(ptr) - 1)
+        lo, hi = ptr[dst_cluster], ptr[dst_cluster + 1]
+        dst_row = self._members[lo + _mix(h, k, 1) % (hi - lo)]
+        if dst_cluster != src_cluster:
+            borders = self._borders
+            path: Tuple[int, ...] = (
+                row, borders[src_cluster][dst_cluster], borders[dst_cluster][src_cluster], dst_row
+            )
+        elif dst_row != row:
+            path = (row, dst_row)
         else:
-            out_border = int(self.border_matrix[src_cluster, dst_cluster])
-            in_border = int(self.border_matrix[dst_cluster, src_cluster])
-            path = (row, out_border, in_border, dst_row)
-        rid = (row, k)
-        if len(path) == 1:
-            relay.counters["completed"].inc()
-            return
-        self._forward(relay, rid, path, 0)
-
-    def _hop(self, relay: _Relay, message: Message) -> None:
-        rid, path, idx = message.payload
-        if idx + 1 >= len(path):
-            relay.counters["completed"].inc()
-            return
-        self._forward(relay, rid, path, idx)
-
-    def _forward(self, relay: _Relay, rid: Any, path: Any, idx: int) -> None:
-        here, nxt = path[idx], path[idx + 1]
-        delay = float(math.dist(self.coords[here], self.coords[nxt]))
-        dest_proxy = int(self.proxies[nxt])
-        reach = (
-            "intra"
-            if self._plan.shard_of(dest_proxy) == self._plan.shard_of(relay.address)
-            else "cross"
-        )
-        relay.counters[f"hops_{reach}"].inc()
-        relay.send(dest_proxy, "hop", (rid, path, idx + 1), delay=delay)
+            return None
+        coords, proxies, row_shard = self._coords, self._proxies, self._row_shard
+        route = None
+        for here, nxt in zip(path[-2::-1], path[:0:-1]):
+            slot = HOPS_INTRA if row_shard[nxt] == row_shard[here] else HOPS_CROSS
+            route = (proxies[nxt], math.dist(coords[here], coords[nxt]), slot, route)
+        return route
 
 
 @dataclass

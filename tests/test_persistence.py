@@ -243,3 +243,43 @@ class TestTwinOverlay:
         assert report_a.total_size == report_b.total_size
         assert report_a.messages_by_kind == report_b.messages_by_kind
         assert report_a.converged_at == report_b.converged_at
+
+
+class TestDeterministicNoise:
+    """A restored network measures the same noise on every load.
+
+    Restores used to build the `PhysicalNetwork` with an OS-seeded noise
+    stream, so joins after a warm start located different coordinates on
+    every run.
+    """
+
+    @staticmethod
+    def _joins(snapshot, routers):
+        dyn = DynamicOverlay.from_snapshot(
+            snapshot, restructure_tolerance=None, track_quality=False
+        )
+        joined = [dyn.join(router, frozenset({"s0"})) for router in routers]
+        return [dyn.space.coordinate(proxy) for proxy in joined]
+
+    def test_two_snapshot_loads_measure_and_join_identically(
+        self, tiny_framework, tmp_path
+    ):
+        path = tmp_path / "overlay.npz"
+        save_snapshot(tiny_framework, str(path))
+        first, second = load_snapshot(str(path)), load_snapshot(str(path))
+        routers = [
+            n for n in tiny_framework.physical.topology.graph.nodes()
+            if n not in set(tiny_framework.overlay.proxies)
+        ][:3]
+        u, v = routers[0], tiny_framework.overlay.proxies[0]
+        probes = [first.framework.physical.measure(u, v) for _ in range(5)]
+        assert probes == [second.framework.physical.measure(u, v) for _ in range(5)]
+        assert self._joins(first, routers) == self._joins(second, routers)
+
+    def test_two_json_loads_measure_identically(self, tiny_framework):
+        payload = framework_to_dict(tiny_framework)
+        first, second = framework_from_dict(payload), framework_from_dict(payload)
+        u, v = tiny_framework.overlay.proxies[:2]
+        assert [first.physical.measure(u, v) for _ in range(5)] == [
+            second.physical.measure(u, v) for _ in range(5)
+        ]
