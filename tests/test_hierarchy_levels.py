@@ -7,7 +7,9 @@ Four contracts pin the level-generic abstraction to the code it replaces:
   across churned overlays);
 * depth 3 is decision-for-decision the old three-level prototype —
   :class:`RecursiveRouter` routes path-identically to
-  ``ThreeLevelRouter`` and the state accounting matches entry for entry;
+  ``ThreeLevelRouter`` and the state accounting matches entry for entry,
+  both live and against ``tests/fixtures/hierarchy3_golden.json``, which
+  was recorded from the prototype on the 80-proxy ``framework`` fixture;
 * an incrementally churned level stack is bit-equal to a cold
   ``build_levels(..., assignments=...)`` rebuild under the same sticky
   assignment (hypothesis-driven, including the cluster-vanish cascade);
@@ -15,8 +17,11 @@ Four contracts pin the level-generic abstraction to the code it replaces:
   identically.
 """
 
+import json
 import os
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +49,8 @@ from repro.state.delta import (
 from repro.state.overhead import coordinates_node_states, service_node_states
 from repro.util.errors import NoFeasiblePathError, TopologyError
 from repro.util.rng import ensure_rng
+
+GOLDEN = Path(__file__).parent / "fixtures" / "hierarchy3_golden.json"
 
 
 def _join_pool(framework, count, seed):
@@ -73,6 +80,43 @@ def _outcome(router, request):
         return router.route(request)
     except NoFeasiblePathError as err:
         return ("err", str(err))
+
+
+def _encode_outcome(outcome):
+    """JSON form of :func:`_outcome`: hop triples, or ``["err", message]``."""
+    if isinstance(outcome, tuple):
+        return list(outcome)
+    return [
+        [int(h.proxy), h.service, None if h.slot is None else int(h.slot)]
+        for h in outcome.hops
+    ]
+
+
+def _encode_states(states):
+    return sorted([int(p), int(v)] for p, v in states.items())
+
+
+def _golden_observation(
+    groups, members, border, coordinates_states, service_states, router, framework
+):
+    """The depth-3 facts the golden fixture pins, from any three-level API."""
+    return {
+        "members": [[int(p) for p in members(g)] for g in range(groups)],
+        "borders": [
+            [i, j, int(border(i, j))]
+            for i in range(groups)
+            for j in range(groups)
+            if i != j
+        ],
+        "coordinates_node_states": _encode_states(coordinates_states),
+        "service_node_states": _encode_states(service_states),
+        "outcomes": [
+            _encode_outcome(
+                _outcome(router, framework.random_request(seed=300 + i))
+            )
+            for i in range(40)
+        ],
+    }
 
 
 def _assert_levels_equal(got, want):
@@ -181,6 +225,19 @@ class TestDepthThreeIdentity:
             == ml.coordinates_node_states()
         )
         assert hierarchy3.service_node_states() == ml.service_node_states()
+
+    def test_replays_golden_fixture(self, framework, hierarchy3):
+        golden = json.loads(GOLDEN.read_text())
+        observed = _golden_observation(
+            hierarchy3.top_count,
+            hierarchy3.top_members,
+            hierarchy3.top_border,
+            hierarchy3.coordinates_node_states(),
+            hierarchy3.service_node_states(),
+            RecursiveRouter(hierarchy3),
+            framework,
+        )
+        assert observed == golden
 
     def test_depth2_accounting_matches_overhead_module(self, framework):
         h = build_levels(framework.hfc, 2)
@@ -364,3 +421,30 @@ class TestSnapshotRoundTrip:
         assert snap.columnar.levels == []
         h = snap.framework.build_hierarchy(2)
         assert isinstance(h, HierarchyLevels) and h.depth == 2
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(
+            "usage: PYTHONPATH=src python tests/test_hierarchy_levels.py --record"
+        )
+    fw = HFCFramework.build(proxy_count=80, seed=7)
+    ml = build_multilevel(fw.hfc)
+    observed = _golden_observation(
+        ml.super_count,
+        ml.members,
+        ml.super_border,
+        ml.coordinates_node_states(),
+        ml.service_node_states(),
+        ThreeLevelRouter(ml),
+        fw,
+    )
+    GOLDEN.parent.mkdir(exist_ok=True)
+    lines = [
+        f" {json.dumps(key)}: [\n"
+        + ",\n".join(f"  {json.dumps(item)}" for item in observed[key])
+        + "\n ]"
+        for key in sorted(observed)
+    ]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"recorded {GOLDEN}")
