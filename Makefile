@@ -94,10 +94,12 @@ fault-matrix:
 perfbench:
 	$(PYTHON) -m pytest perfbench -q
 
-# Mirror the full CI workflow locally: tier-1 tests, lint, fault matrix, perfbench,
-# bench smoke + gate.
+# Mirror the full CI workflow locally: tier-1 tests, a benchmark import check
+# (collect every bench module, so one importing a deleted name fails here),
+# lint, fault matrix, perfbench, bench smoke + gate.
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks --collect-only -q
 	$(MAKE) lint
 	$(MAKE) fault-matrix
 	$(MAKE) perfbench

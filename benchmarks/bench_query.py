@@ -5,8 +5,9 @@ requests, 4-10 services each) is resolved three ways on identically built
 frameworks:
 
 * **scalar** — the pre-batching configuration: per-request ``route`` calls
-  through the reference CSP relaxation with a non-memoizing coordinate
-  provider (every call re-derives provider lists and coordinate blocks);
+  through the scalar reference CSP relaxation (``tests.oracles``'
+  :class:`ReferenceCSPRouter`) with a non-memoizing coordinate provider
+  (every call re-derives provider lists and coordinate blocks);
 * **single** — per-request ``route`` calls through the vectorized CSP
   relaxation (numpy helps little at this granularity; the number is kept
   honest, not gated);
@@ -35,6 +36,7 @@ from pathlib import Path
 from repro.core import HFCFramework
 from repro.experiments import WorkloadConfig, ascii_table, generate_requests
 from repro.routing.providers import CoordinateProvider
+from tests.oracles import ReferenceCSPRouter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_query.json"
@@ -110,7 +112,7 @@ def test_batched_query_speedup(benchmark, emit):
     )
 
     # the pre-batching configuration: scalar relaxation, no block memo
-    scalar_router = framework.hierarchical_router(csp_engine="reference")
+    scalar_router = ReferenceCSPRouter(framework.hfc)
     scalar_router._provider = CoordinateProvider(framework.hfc.space, memoize=False)
     single_router = framework.hierarchical_router()
     batch_router = framework.hierarchical_router()

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from repro.core import HFCFramework
-from repro.hierarchy import ThreeLevelRouter, build_multilevel
+from repro.hierarchy import RecursiveRouter, build_levels
 from repro.routing import HierarchicalRouter, validate_path
 from repro.state import coordinates_node_states, service_node_states
 
@@ -25,20 +25,19 @@ def main() -> None:
     framework = HFCFramework.build(proxy_count=proxy_count, seed=seed)
     print(framework.describe())
 
-    multilevel = build_multilevel(framework.hfc)
-    sizes = {
-        sid: len(members) for sid, members in multilevel.cluster_members.items()
-    }
-    print(f"super-clusters: {multilevel.super_count} "
-          f"(clusters per super: {sorted(sizes.values())})")
-    print(f"super-border proxies: {len(multilevel.all_super_borders())}")
+    hierarchy = build_levels(framework.hfc, 3)
+    level = hierarchy.levels[0]
+    sizes = [len(level.members_of(gid)) for gid in range(level.count)]
+    print(f"super-clusters: {hierarchy.top_count} "
+          f"(clusters per super: {sorted(sizes)})")
+    print(f"super-border proxies: {len(hierarchy.all_top_borders())}")
     print()
 
     flat = framework.overlay.size
     coord2 = np.mean(list(coordinates_node_states(framework.hfc).values()))
-    coord3 = np.mean(list(multilevel.coordinates_node_states().values()))
+    coord3 = np.mean(list(hierarchy.coordinates_node_states().values()))
     svc2 = np.mean(list(service_node_states(framework.hfc).values()))
-    svc3 = np.mean(list(multilevel.service_node_states().values()))
+    svc3 = np.mean(list(hierarchy.service_node_states().values()))
     print("per-proxy state (node-states):")
     print(f"  {'organisation':<14} {'coordinates':>12} {'service':>10}")
     print(f"  {'flat':<14} {flat:>12.1f} {flat:>10.1f}")
@@ -47,7 +46,7 @@ def main() -> None:
     print()
 
     two = HierarchicalRouter(framework.hfc)
-    three = ThreeLevelRouter(multilevel)
+    three = RecursiveRouter(hierarchy)
     d2, d3 = [], []
     for s in range(40):
         request = framework.random_request(seed=seed + 100 + s)

@@ -34,17 +34,9 @@ class FrameworkConfig:
         transit_stub: physical-topology generator tunables.
         mesh_weight: distance map the mesh baseline uses ("coords" per the
             paper's Section 6.1, "true" for the information ablation).
-        vectorized_construction: run the Section-3 construction pipeline
-            through the batched numpy kernels (embedding, MST, border
-            selection). ``False`` pins the original per-pair/per-host
-            reference path — same clusters and borders, only slower.
         embedding_workers: optional process-pool size for the per-proxy
             coordinate solves (proxies embed independently given the
             landmarks); ``None`` solves in-process.
-        query_workers: optional process-pool size for the conquer step of
-            batched routing (``route_many``); ``None`` solves in-process.
-            The conquer fan-out is result-invariant, so this is purely a
-            throughput knob — the query-path twin of ``embedding_workers``.
         sim_shards: default shard count for event simulators built via
             :meth:`HFCFramework.simulator`. ``None``/1 keeps the monolithic
             single-heap engine; higher values partition proxies by cluster
@@ -64,9 +56,7 @@ class FrameworkConfig:
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     transit_stub: TransitStubConfig = field(default_factory=TransitStubConfig)
     mesh_weight: str = "coords"
-    vectorized_construction: bool = True
     embedding_workers: Optional[int] = None
-    query_workers: Optional[int] = None
     sim_shards: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -81,12 +71,12 @@ class FrameworkConfig:
             raise ReproError("measurement_noise must be >= 0")
         if not 1 <= self.min_services_per_proxy <= self.max_services_per_proxy:
             raise ReproError("invalid services-per-proxy bounds")
+        if not self.instances_per_service > 0:
+            raise ReproError("instances_per_service must be > 0")
         if self.mesh_weight not in ("coords", "true"):
             raise ReproError("mesh_weight must be 'coords' or 'true'")
         if self.embedding_workers is not None and self.embedding_workers < 1:
             raise ReproError("embedding_workers must be >= 1 or None")
-        if self.query_workers is not None and self.query_workers < 1:
-            raise ReproError("query_workers must be >= 1 or None")
         if self.sim_shards is not None and self.sim_shards < 1:
             raise ReproError("sim_shards must be >= 1 or None")
 

@@ -30,7 +30,6 @@ from repro.coords.space import CoordinateSpace
 from repro.core.config import FrameworkConfig
 from repro.core.versioning import MutableCapabilityFeed
 from repro.graph.graph import Graph
-from repro.graph.mst import euclidean_mst, euclidean_mst_reference
 from repro.netsim.physical import PhysicalNetwork
 from repro.netsim.topology import transit_stub
 from repro.overlay.hfc import HFCTopology, build_hfc
@@ -100,9 +99,8 @@ class HFCFramework:
         rng = ensure_rng(seed)
         telemetry = telemetry if telemetry is not None else get_telemetry()
         tracer = telemetry.tracer
-        vectorized = config.vectorized_construction
 
-        with tracer.span("construct", proxies=proxy_count, vectorized=vectorized):
+        with tracer.span("construct", proxies=proxy_count):
             if physical is None:
                 with tracer.span("construct.topology"):
                     topo = transit_stub(
@@ -127,7 +125,6 @@ class HFCFramework:
                     dimension=config.dimension,
                     probes=config.probes,
                     seed=spawn(rng, "embedding"),
-                    vectorized=vectorized,
                     workers=config.embedding_workers,
                     telemetry=telemetry,
                 )
@@ -153,18 +150,9 @@ class HFCFramework:
                 physical=physical, proxies=proxies, placement=placement, space=space
             )
             with tracer.span("construct.clustering"):
-                clustering = cluster_nodes(
-                    space,
-                    proxies,
-                    config.clustering,
-                    mst=euclidean_mst if vectorized else euclidean_mst_reference,
-                )
+                clustering = cluster_nodes(space, proxies, config.clustering)
             with tracer.span("construct.borders", clusters=clustering.cluster_count):
-                hfc = build_hfc(
-                    overlay,
-                    clustering,
-                    engine="vectorized" if vectorized else "reference",
-                )
+                hfc = build_hfc(overlay, clustering)
             with tracer.span("construct.columnar"):
                 attach_columnar(
                     hfc,
@@ -301,11 +289,9 @@ class HFCFramework:
     ) -> HierarchicalRouter:
         """The paper's divide-and-conquer router (HFC with aggregation).
 
-        Extra keyword arguments (``csp_engine``, ``query_workers``, ...)
-        pass through to :class:`HierarchicalRouter`; ``query_workers``
-        defaults to the framework config's value.
+        Extra keyword arguments (``telemetry``, ``capability_feed``, ...)
+        pass through to :class:`HierarchicalRouter`.
         """
-        kwargs.setdefault("query_workers", self.config.query_workers)
         return HierarchicalRouter(self.hfc, method=method, **kwargs)
 
     def cached_hierarchical_router(
@@ -323,7 +309,6 @@ class HFCFramework:
         """
         from repro.routing.cache import CachedHierarchicalRouter
 
-        kwargs.setdefault("query_workers", self.config.query_workers)
         return CachedHierarchicalRouter(
             self.hfc,
             method=method,

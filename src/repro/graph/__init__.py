@@ -4,7 +4,6 @@ from repro.graph.components import component_of, connected_components, is_connec
 from repro.graph.graph import Graph
 from repro.graph.mst import (
     UnionFind,
-    dense_prim_mst,
     euclidean_mst,
     euclidean_mst_reference,
     kruskal_mst,
@@ -27,7 +26,6 @@ __all__ = [
     "connected_components",
     "dijkstra",
     "eccentricity",
-    "dense_prim_mst",
     "euclidean_mst",
     "euclidean_mst_reference",
     "is_connected",

@@ -196,38 +196,3 @@ def euclidean_mst_reference(points: np.ndarray) -> List[Tuple[int, int, float]]:
         in_tree[nxt] = True
         current = nxt
     return edges
-
-
-def dense_prim_mst(weights: np.ndarray) -> List[Tuple[int, int, float]]:
-    """MST of a complete graph given its dense weight matrix.
-
-    The same numpy argmin Prim as :func:`euclidean_mst` but over arbitrary
-    precomputed weights (``(n, n)``, symmetric, ``inf`` for missing edges).
-    Raises :class:`GraphError` when the matrix describes a disconnected
-    graph. Returns MST edges as ``(i, j, weight)`` index triples.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise GraphError(f"weights must be square (n, n), got shape {w.shape}")
-    n = w.shape[0]
-    if n == 0:
-        return []
-    in_tree = np.zeros(n, dtype=bool)
-    best_w = np.full(n, np.inf)
-    best_from = np.zeros(n, dtype=int)
-    edges: List[Tuple[int, int, float]] = []
-    current = 0
-    in_tree[0] = True
-    for _ in range(n - 1):
-        row = w[current]
-        closer = (~in_tree) & (row < best_w)
-        best_w[closer] = row[closer]
-        best_from[closer] = current
-        masked = np.where(in_tree, np.inf, best_w)
-        nxt = int(np.argmin(masked))
-        if not np.isfinite(masked[nxt]):
-            raise GraphError("dense_prim_mst: disconnected weight matrix")
-        edges.append((int(best_from[nxt]), nxt, float(best_w[nxt])))
-        in_tree[nxt] = True
-        current = nxt
-    return edges

@@ -1,8 +1,7 @@
 """Multi-level hierarchy extension: recursive HFC hierarchies and routing.
 
-:mod:`repro.hierarchy.levels` is the level-generic core (any depth);
-:mod:`repro.hierarchy.multilevel` keeps the original three-level surface,
-its construction now a thin shim over :func:`build_levels` at depth 3.
+:mod:`repro.hierarchy.levels` builds hierarchies of any depth and routes
+over them with :class:`RecursiveRouter`.
 """
 
 from repro.hierarchy.levels import (
@@ -11,18 +10,10 @@ from repro.hierarchy.levels import (
     build_levels,
     levels_from_columnar,
 )
-from repro.hierarchy.multilevel import (
-    MultiLevelHFC,
-    ThreeLevelRouter,
-    build_multilevel,
-)
 
 __all__ = [
     "HierarchyLevels",
-    "MultiLevelHFC",
     "RecursiveRouter",
-    "ThreeLevelRouter",
     "build_levels",
-    "build_multilevel",
     "levels_from_columnar",
 ]

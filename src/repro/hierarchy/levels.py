@@ -1,8 +1,7 @@
 """Level-generic recursive HFC hierarchies (proxies -> clusters -> ... -> top).
 
-The paper builds a bi-level HFC and the three-level prototype
-(:mod:`repro.hierarchy.multilevel`) hardcoded one extra level. This module
-makes the recursion explicit: **level 0 is the proxies, level 1 the
+The paper builds a bi-level HFC. This module applies the same
+construction recursively: **level 0 is the proxies, level 1 the
 paper's clusters, and level k+1 re-clusters the level-k centroids with
 the same machinery** — Zahn MST or greedy k-center on the centroid cloud,
 border pairs by the closest-proxy-pair rule applied across the two
@@ -19,10 +18,8 @@ Exactness contracts (asserted by ``tests/test_hierarchy_levels.py``):
 
 * ``depth=2`` wraps the existing bi-level topology untouched — routing
   matrices and query tables are bit-identical to ``build_hfc``;
-* ``depth=3`` reproduces the three-level prototype decision for decision
-  (same centroid means, same k-center call, same closest-pair scans), and
-  :class:`RecursiveRouter` routes path-identically to the prototype's
-  ``ThreeLevelRouter``;
+* ``depth=3`` groups, borders, state accounting and routed paths replay
+  ``tests/fixtures/hierarchy3_golden.json`` exactly;
 * deeper levels apply the identical rule once more per level.
 
 Routing is the paper's divide-and-conquer applied recursively:
@@ -135,7 +132,7 @@ class HierarchyLevels:
         ]
 
     def top_members(self, group_id: GroupId) -> List[ProxyId]:
-        """All proxies under *group_id*, sorted (the prototype's surface)."""
+        """All proxies under *group_id*, sorted."""
         return sorted(self.proxies_under(group_id))
 
     # -- borders -----------------------------------------------------------------
@@ -162,8 +159,7 @@ class HierarchyLevels:
         """Relay expansion respecting every level of the hierarchy.
 
         Same top group: recurse into the sub-hierarchy. Different groups:
-        out through the top border pair, each side expanded recursively —
-        the prototype's three-level rule, applied at every depth.
+        out through the top border pair, each side expanded recursively.
         """
         if not self.levels:
             return self.hfc.expand_hop(u, v)
@@ -181,7 +177,7 @@ class HierarchyLevels:
     def sub_hierarchy(self, group_id: GroupId) -> "HierarchyLevels":
         """The depth-``L-1`` hierarchy restricted to one top group (cached).
 
-        The base restriction is exactly the prototype's ``sub_hfc``:
+        The base restriction is the bi-level HFC over the group's clusters:
         member clusters remapped to local ids ascending, border pairs
         inherited (a border between two units of the same group does not
         depend on anything outside the group). Intermediate levels are
@@ -294,8 +290,8 @@ class HierarchyLevels:
 
         One scope per level: level-1 borders among sibling clusters inside
         the own level-2 group, level-k borders inside the own level-(k+1)
-        group, and the top level's borders system-wide — the prototype's
-        three-level state model, one term per level.
+        group, and the top level's borders system-wide — one term per
+        level.
         """
         ancestors: List[int] = []
         unit = cid
@@ -344,7 +340,7 @@ class HierarchyLevels:
 
         Own-cluster members, plus per level the not-yet-counted border
         proxies of that level's scope. Depth 2 equals the paper's bi-level
-        accounting; depth 3 equals the three-level prototype's.
+        accounting.
         """
         result: Dict[ProxyId, int] = {}
         for cid in range(self.hfc.cluster_count):
@@ -406,8 +402,7 @@ class _LevelView:
     """Duck-typed 'HFC' over a hierarchy's top level.
 
     Lets :class:`~repro.routing.hierarchical.HierarchicalRouter`'s
-    cluster-level machinery run unchanged at the top of the recursion —
-    the generalization of the three-level prototype's super view. When
+    cluster-level machinery run unchanged at the top of the recursion. When
     the hierarchy is attached to a columnar state, the view pre-seeds its
     query-table cache with the state's per-level tables, so the batched
     relaxation reads the shared arrays zero-copy.
@@ -459,8 +454,7 @@ class RecursiveRouter(HierarchicalRouter):
     of the depth-``L-1`` sub-hierarchy restricted to that group — another
     :class:`RecursiveRouter` until the recursion bottoms out at the
     bi-level :class:`HierarchicalRouter`. Relay-only children cross the
-    group along its internal border structure. At depth 3 this routes
-    path-identically to the prototype's ``ThreeLevelRouter``.
+    group along its internal border structure.
     """
 
     def __init__(self, hierarchy: HierarchyLevels, **kwargs) -> None:
@@ -483,13 +477,9 @@ class RecursiveRouter(HierarchicalRouter):
         if cached is None:
             sub = self.hierarchy.sub_hierarchy(group_id)
             if sub.levels:
-                cached = RecursiveRouter(
-                    sub, method=self.method, use_numpy=self.use_numpy
-                )
+                cached = RecursiveRouter(sub, method=self.method)
             else:
-                cached = HierarchicalRouter(
-                    sub.hfc, method=self.method, use_numpy=self.use_numpy
-                )
+                cached = HierarchicalRouter(sub.hfc, method=self.method)
             self._sub_routers[group_id] = cached
         return cached
 
@@ -576,11 +566,7 @@ class RecursiveRouter(HierarchicalRouter):
 
 
 def base_centroids(hfc: HFCTopology) -> np.ndarray:
-    """Per-cluster centroids: the mean of each cluster's member coordinates.
-
-    The exact expression the three-level prototype used, so re-clustering
-    these at depth 3 reproduces its grouping bit for bit.
-    """
+    """Per-cluster centroids: the mean of each cluster's member coordinates."""
     return np.array(
         [
             hfc.space.array(hfc.members(cid)).mean(axis=0)
@@ -602,7 +588,7 @@ def _group_units(
 
     ``kcenter`` (default) targets ``round(sqrt(count))`` balanced groups;
     ``mst`` applies the same Zahn machinery used at level 1. Returns the
-    per-group unit-id lists, ids ascending — the prototype's convention.
+    per-group unit-id lists, ids ascending.
     """
     space = CoordinateSpace(
         {unit: tuple(row) for unit, row in enumerate(centroids.tolist())}
@@ -634,7 +620,7 @@ def build_level(
     Centroids are the mean of each group's unit centroids; borders are the
     closest proxy pair across the two groups' full proxy populations (the
     paper's Section-3.3 rule, one level up), scanned in ascending group
-    order — identical tie-breaks to the three-level prototype. Shared by
+    order, so tie-breaks are deterministic. Shared by
     the cold build and the churn layer's spine patching, which is what
     makes a patched hierarchy bit-equal to a rebuild over the same
     grouping.

@@ -135,6 +135,21 @@ def _restored_network(
     return PhysicalNetwork(topology, noise=noise, seed=seed)
 
 
+def _config_from(saved: Dict[str, Any]) -> FrameworkConfig:
+    """Rebuild the :class:`FrameworkConfig` an artifact was written with.
+
+    Base fields this version no longer has are dropped, so artifacts that
+    recorded since-retired throughput knobs still load.
+    """
+    known = {f.name for f in dataclasses.fields(FrameworkConfig)}
+    base = {k: v for k, v in saved["base"].items() if k in known}
+    return FrameworkConfig(
+        **base,
+        clustering=ClusteringConfig(**saved["clustering"]),
+        transit_stub=TransitStubConfig(**saved["transit_stub"]),
+    )
+
+
 def framework_from_dict(payload: Dict[str, Any]) -> HFCFramework:
     """Reconstruct a framework from :func:`framework_to_dict` output."""
     version = payload.get("format_version")
@@ -143,11 +158,7 @@ def framework_from_dict(payload: Dict[str, Any]) -> HFCFramework:
             f"unsupported artifact format {version!r} (expected {FORMAT_VERSION})"
         )
 
-    config = FrameworkConfig(
-        **payload["config"]["base"],
-        clustering=ClusteringConfig(**payload["config"]["clustering"]),
-        transit_stub=TransitStubConfig(**payload["config"]["transit_stub"]),
-    )
+    config = _config_from(payload["config"])
 
     graph = Graph()
     positions = {}
@@ -412,11 +423,7 @@ def load_snapshot(path: str) -> OverlaySnapshot:
                 )
             )
 
-    config = FrameworkConfig(
-        **meta["config"]["base"],
-        clustering=ClusteringConfig(**meta["config"]["clustering"]),
-        transit_stub=TransitStubConfig(**meta["config"]["transit_stub"]),
-    )
+    config = _config_from(meta["config"])
     kinds = meta["node_kinds"]
     graph = Graph()
     positions = {}

@@ -38,7 +38,6 @@ from repro.routing.providers import (
 from repro.routing.servicedag import (
     DagSolution,
     brute_force,
-    solve_reference,
     solve_vectorised,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "path_from_assignment",
     "query_tables",
     "service_graph_signature",
-    "solve_reference",
     "solve_vectorised",
     "validate_path",
 ]

@@ -23,7 +23,7 @@ from repro.routing.providers import (
     DistanceProvider,
     TrueDelayProvider,
 )
-from repro.routing.servicedag import solve_reference, solve_vectorised
+from repro.routing.servicedag import solve_vectorised
 from repro.services.request import ServiceRequest
 from repro.telemetry import get_telemetry
 from repro.util.errors import RoutingError
@@ -45,7 +45,6 @@ class FlatRouter:
         *,
         expander: Optional[HopExpander] = None,
         candidate_filter: Optional[Callable[[ProxyId], bool]] = None,
-        use_numpy: bool = True,
         name: str = "flat",
     ) -> None:
         """
@@ -56,14 +55,12 @@ class FlatRouter:
                 None, hops are direct overlay links (fully-connected view).
             candidate_filter: optional predicate restricting which proxies
                 may provide services (used for intra-cluster routing).
-            use_numpy: choose the vectorised or the reference solver.
             name: label used in reports.
         """
         self.overlay = overlay
         self.provider = provider
         self.expander = expander
         self.candidate_filter = candidate_filter
-        self.use_numpy = use_numpy
         self.name = name
 
     def candidates_for(self, request: ServiceRequest) -> Dict[int, List[ProxyId]]:
@@ -97,22 +94,13 @@ class FlatRouter:
         service) pair and feeds them here; with the lists produced by
         :meth:`candidates_for` this is exactly :meth:`route`.
         """
-        if self.use_numpy:
-            solution = solve_vectorised(
-                request.service_graph,
-                candidates,
-                request.source_proxy,
-                request.destination_proxy,
-                self.provider.block,
-            )
-        else:
-            solution = solve_reference(
-                request.service_graph,
-                candidates,
-                request.source_proxy,
-                request.destination_proxy,
-                self.provider.pair,
-            )
+        solution = solve_vectorised(
+            request.service_graph,
+            candidates,
+            request.source_proxy,
+            request.destination_proxy,
+            self.provider.block,
+        )
         return self._materialise(request, solution.assignment)
 
     def route_many(self, requests: Sequence[ServiceRequest]) -> List[ServicePath]:
@@ -186,8 +174,8 @@ def materialise_assignment(
 ) -> ServicePath:
     """Turn a slot→proxy assignment into a concrete path with relays.
 
-    Module-level so pool workers can materialise child solutions without
-    carrying a router object across the process boundary.
+    Module-level so the batched conquer step can materialise child
+    solutions without a router object.
     """
     sg = request.service_graph
     waypoints: List[Hop] = [Hop(proxy=request.source_proxy)]

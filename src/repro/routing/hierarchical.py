@@ -65,8 +65,6 @@ ClusterId = int
 _Entry = Optional[ProxyId]
 
 METHODS = ("backtrack", "exact", "external")
-#: cluster-level relaxation engines for the label-setting methods
-CSP_ENGINES = ("vectorized", "reference")
 
 #: one prepared batch-CSP row: (job index, request, chain, candidate lists,
 #: source cluster, destination cluster)
@@ -129,8 +127,6 @@ class HierarchicalRouter:
     # them field-by-field around __init__) behave as feed-less
     capability_feed = None
     _feed_version: object = _UNSYNCED
-    csp_engine = "vectorized"
-    query_workers: Optional[int] = None
 
     def __init__(
         self,
@@ -138,11 +134,8 @@ class HierarchicalRouter:
         *,
         method: str = "backtrack",
         cluster_capabilities: Optional[Dict[ClusterId, FrozenSet[ServiceName]]] = None,
-        use_numpy: bool = True,
         telemetry: Optional[Telemetry] = None,
         capability_feed=None,
-        csp_engine: str = "vectorized",
-        query_workers: Optional[int] = None,
     ) -> None:
         """
         Args:
@@ -152,7 +145,6 @@ class HierarchicalRouter:
             cluster_capabilities: SCT_C contents; defaults to the exact
                 aggregation of the current placement (a converged state
                 protocol). Pass protocol-produced tables to study staleness.
-            use_numpy: solver choice for the intra-cluster step.
             telemetry: observability scope; defaults to the process-wide
                 one (every resolution opens a ``route`` span tree and
                 bumps the request counters).
@@ -162,28 +154,11 @@ class HierarchicalRouter:
                 or :class:`repro.core.versioning.MutableCapabilityFeed`).
                 When bound, the router re-pulls the view whenever the feed
                 version moves — it supersedes *cluster_capabilities*.
-            csp_engine: cluster-level relaxation engine for the
-                label-setting methods: ``"vectorized"`` (one numpy pass per
-                slot over precomputed border tables, the default) or
-                ``"reference"`` (the original scalar loop). Both return
-                bit-identical cluster-level paths; the ``exact`` method has
-                a single implementation.
-            query_workers: default process-pool size for the conquer step
-                of :meth:`route_many` (None = in-process).
         """
         if method not in METHODS:
             raise RoutingError(f"method must be one of {METHODS}, got {method!r}")
-        if csp_engine not in CSP_ENGINES:
-            raise RoutingError(
-                f"csp_engine must be one of {CSP_ENGINES}, got {csp_engine!r}"
-            )
-        if query_workers is not None and query_workers < 1:
-            raise RoutingError("query_workers must be >= 1 or None")
         self.hfc = hfc
         self.method = method
-        self.use_numpy = use_numpy
-        self.csp_engine = csp_engine
-        self.query_workers = query_workers
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         self.capability_feed = capability_feed
         self._feed_version: object = self._UNSYNCED
@@ -292,12 +267,7 @@ class HierarchicalRouter:
 
     # -- batched resolution -----------------------------------------------------
 
-    def route_many(
-        self,
-        requests: Sequence[ServiceRequest],
-        *,
-        workers: Optional[int] = None,
-    ) -> List[ServicePath]:
+    def route_many(self, requests: Sequence[ServiceRequest]) -> List[ServicePath]:
         """Resolve a batch of requests through the shared-precompute engine.
 
         Returns one path per request, in order; raises the first
@@ -305,15 +275,12 @@ class HierarchicalRouter:
         and message the per-request :meth:`route` call produces. Paths are
         bit-identical to routing each request individually.
         """
-        result = self.route_many_detailed(requests, workers=workers)
+        result = self.route_many_detailed(requests)
         result.raise_first()
         return [path for path in result.paths if path is not None]
 
     def route_many_detailed(
-        self,
-        requests: Sequence[ServiceRequest],
-        *,
-        workers: Optional[int] = None,
+        self, requests: Sequence[ServiceRequest]
     ) -> BatchRouteResult:
         """Resolve a batch, capturing per-request outcomes.
 
@@ -321,19 +288,14 @@ class HierarchicalRouter:
         request: one capability sync, the cluster-level border tables, a
         per-(service-graph shape, source-cluster, destination) CSP memo on
         top of whatever version-driven cache a subclass maintains, and a
-        per-(cluster, service) candidate index for the conquer step. The
-        independent child solves can fan out over a process pool
-        (*workers*, defaulting to ``query_workers``), mirroring
-        ``embedding_workers``; pooling is result-invariant.
+        per-(cluster, service) candidate index for the conquer step.
 
-        Subclasses that override :meth:`solve_child` (e.g. the three-level
-        router) conquer through their own hook, per child, in-process.
+        Subclasses that override :meth:`solve_child` (e.g. the recursive
+        router) conquer through :meth:`_conquer_custom` instead.
         """
         requests = list(requests)
         tracer = self.telemetry.tracer
         registry = self.telemetry.registry
-        if workers is None:
-            workers = self.query_workers
         started = time.perf_counter()
         count = len(requests)
         csps: List[Optional[ClusterServicePath]] = [None] * count
@@ -344,14 +306,14 @@ class HierarchicalRouter:
             with tracer.span("route.batch.precompute"):
                 precompute_started = time.perf_counter()
                 self.refresh_capabilities()
-                if self.csp_engine == "vectorized" and self.method != "exact":
+                if self.method != "exact":
                     query_tables(self.hfc)
                 context = ConquerContext(self.hfc)
                 precompute_seconds = time.perf_counter() - precompute_started
 
             # map + cluster-level shortest paths, memoized per CSP identity
             csp_memo: Dict[Hashable, Tuple[str, object]] = {}
-            chain_engine = self.csp_engine == "vectorized" and self.method != "exact"
+            chain_engine = self.method != "exact"
             service_clusters: Dict[ServiceName, List[ClusterId]] = {}
             pending: Dict[Hashable, Tuple[ServiceRequest, List[int]]] = {}
             with tracer.span("route.batch.csp"):
@@ -376,8 +338,8 @@ class HierarchicalRouter:
                         job[1].append(idx)
                         continue
                     if not (chain_engine and request.service_graph.is_linear):
-                        # exact method, reference engine, or a non-chain SG:
-                        # resolve per request (subclass caches included)
+                        # exact method or a non-chain SG: resolve per
+                        # request (subclass caches included)
                         try:
                             csp = self.cluster_level_path(request)
                         except NoFeasiblePathError as err:
@@ -423,7 +385,7 @@ class HierarchicalRouter:
                 or type(self)._conquer_custom
                 is not HierarchicalRouter._conquer_custom
             )
-            with tracer.span("route.batch.conquer", workers=workers or 1):
+            with tracer.span("route.batch.conquer"):
                 if custom_conquer:
                     self._conquer_custom(requests, children_of, outcomes_of)
                 else:
@@ -440,8 +402,6 @@ class HierarchicalRouter:
                     solved = solve_specs(
                         specs,
                         self._provider,
-                        self.use_numpy,
-                        workers=workers or 1,
                         space=self.hfc.space
                         if isinstance(self._provider, CoordinateProvider)
                         else None,
@@ -458,13 +418,7 @@ class HierarchicalRouter:
                         (value for kind, value in outcomes if kind == "err"), None
                     )
                     if failure is not None:
-                        # pool outcomes carry error args (picklable); the
-                        # custom-conquer path keeps the original instance
-                        errors[idx] = (
-                            failure
-                            if isinstance(failure, NoFeasiblePathError)
-                            else NoFeasiblePathError(*failure)
-                        )
+                        errors[idx] = failure
                         continue
                     paths[idx] = self.compose(
                         request, [path for _, path in outcomes]
@@ -600,8 +554,8 @@ class HierarchicalRouter:
     ) -> None:
         """One padded relaxation pass per chain position for a length bucket.
 
-        Equivalence with the scalar reference rests on the same three facts
-        as :meth:`_solve_label_vectorized` — shared scalar-sourced tables,
+        Equivalence with the per-request relaxation rests on the same three
+        facts as :meth:`_solve_label_vectorized` — shared scalar-sourced tables,
         preserved ``(dist + ext) + internal`` association, first-occurrence
         ``argmin`` matching strict-``<`` updates in candidate order — plus
         one batching fact: padding lanes sit after the real candidates and
@@ -727,9 +681,7 @@ class HierarchicalRouter:
         cd = hfc.cluster_of(request.destination_proxy)
         sg = request.service_graph
         candidates = self.cluster_candidates(sg)
-        if any(not c for c in candidates.values()) and not sg.is_linear:
-            # Non-linear SGs may route around empty slots; linear ones cannot.
-            pass
+        # non-linear SGs may route around empty slots; linear ones cannot
         if sg.is_linear and any(not candidates[s] for s in sg.slots()):
             missing = [
                 sg.service_of(s) for s in sg.slots() if not candidates[s]
@@ -739,10 +691,6 @@ class HierarchicalRouter:
             )
         if self.method == "exact":
             cost, assignment = self._solve_exact(request, sg, candidates, cs, cd)
-        elif self.csp_engine == "reference":
-            cost, assignment = self._solve_label_reference(
-                request, sg, candidates, cs, cd, with_internal=self.method == "backtrack"
-            )
         else:
             cost, assignment = self._solve_label_vectorized(
                 request, sg, candidates, cs, cd, with_internal=self.method == "backtrack"
@@ -793,80 +741,6 @@ class HierarchicalRouter:
             self.hfc.border(cluster, cs),
         )
 
-    # label-setting with optional back-tracking --------------------------------
-
-    def _solve_label_reference(
-        self,
-        request: ServiceRequest,
-        sg: ServiceGraph,
-        candidates: Dict[SlotId, List[ClusterId]],
-        cs: ClusterId,
-        cd: ClusterId,
-        *,
-        with_internal: bool,
-    ) -> Tuple[float, List[Tuple[SlotId, ClusterId]]]:
-        hfc = self.hfc
-        dist: Dict[Tuple[SlotId, ClusterId], float] = {}
-        entry: Dict[Tuple[SlotId, ClusterId], _Entry] = {}
-        parent: Dict[Tuple[SlotId, ClusterId], Optional[Tuple[SlotId, ClusterId]]] = {}
-
-        source_slots = set(sg.source_slots())
-        for slot in sg.topological_order():
-            for cj in candidates[slot]:
-                key = (slot, cj)
-                if slot in source_slots:
-                    cost, ent = self._start(cj, cs, with_internal)
-                    dist[key] = cost
-                    entry[key] = ent
-                    parent[key] = None
-                for pred in sg.predecessors(slot):
-                    for ci in candidates[pred]:
-                        pkey = (pred, ci)
-                        if pkey not in dist:
-                            continue
-                        if ci == cj:
-                            cost = dist[pkey]
-                            ent = entry[pkey]
-                        else:
-                            cost = dist[pkey] + hfc.external_estimate(ci, cj)
-                            if with_internal:
-                                # The back-tracking step: look up through which
-                                # border this label entered ci, and charge the
-                                # internal segment to ci's exit border.
-                                cost += self._internal(
-                                    entry[pkey], hfc.border(ci, cj)
-                                )
-                            ent = hfc.border(cj, ci)
-                        if key not in dist or cost < dist[key]:
-                            dist[key] = cost
-                            entry[key] = ent
-                            parent[key] = pkey
-
-        best_key: Optional[Tuple[SlotId, ClusterId]] = None
-        best_total = float("inf")
-        for slot in sg.sink_slots():
-            for ci in candidates[slot]:
-                key = (slot, ci)
-                if key not in dist:
-                    continue
-                total = dist[key] + self._tail(
-                    ci, entry[key], cd, request.destination_proxy, with_internal
-                )
-                if total < best_total:
-                    best_total = total
-                    best_key = key
-        if best_key is None or best_total == float("inf"):
-            raise NoFeasiblePathError(
-                "no cluster-level configuration satisfies the request"
-            )
-        assignment: List[Tuple[SlotId, ClusterId]] = []
-        node: Optional[Tuple[SlotId, ClusterId]] = best_key
-        while node is not None:
-            assignment.append(node)
-            node = parent[node]
-        assignment.reverse()
-        return best_total, assignment
-
     # vectorized relaxation over precomputed border tables -----------------------
 
     def _solve_label_vectorized(
@@ -879,7 +753,8 @@ class HierarchicalRouter:
         *,
         with_internal: bool,
     ) -> Tuple[float, List[Tuple[SlotId, ClusterId]]]:
-        """One numpy pass per slot; bit-identical to the reference loop.
+        """One numpy pass per slot; bit-identical to the scalar reference
+        loop that ``tests/oracles/csp.py`` keeps as a test oracle.
 
         Per slot, all (predecessor-label × candidate-cluster) relaxations
         evaluate at once against the precomputed tables of
@@ -1167,7 +1042,6 @@ class HierarchicalRouter:
             self.hfc.overlay,
             self._provider,
             candidate_filter=members.__contains__,
-            use_numpy=self.use_numpy,
             name=f"intra-cluster-{child.cluster}",
         )
         sub_request = ServiceRequest(

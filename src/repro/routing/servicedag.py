@@ -7,12 +7,10 @@ destination proxy). Edges follow the service graph's dependency edges, so
 **any** source→sink path in the DAG is a feasible service path, and a
 shortest-path run returns an optimal one.
 
-Two solvers are provided with identical semantics:
-
-* :func:`solve_reference` — plain-Python label setting in topological order;
-  the executable specification.
-* :func:`solve_vectorised` — numpy min-plus relaxation per service-graph
-  edge; what experiments use. Property tests pin the two to each other.
+:func:`solve_vectorised` solves it with one numpy min-plus relaxation per
+service-graph edge. Property tests pin it to :func:`brute_force` and to the
+plain-Python label-setting specification kept in
+``tests/oracles/servicedag.py``.
 
 Instances are opaque ids: proxies for intra-cluster/flat routing, cluster
 ids for the inter-cluster level — the solver does not care.
@@ -58,67 +56,6 @@ def _check_inputs(
         raise RoutingError(f"candidates given for unknown slots: {sorted(unknown)}")
 
 
-def solve_reference(
-    sg: ServiceGraph,
-    candidates: Dict[SlotId, Sequence[Instance]],
-    source: Instance,
-    destination: Instance,
-    pair: PairFn,
-) -> DagSolution:
-    """Plain-Python service-DAG shortest path (executable specification).
-
-    ``candidates[slot]`` lists the instances able to fill *slot*; slots
-    missing from the mapping (or mapped to an empty list) are unusable and
-    prune every configuration through them. Raises
-    :class:`NoFeasiblePathError` if no feasible configuration survives.
-    """
-    _check_inputs(sg, candidates)
-    dist: Dict[Tuple[SlotId, int], float] = {}
-    parent: Dict[Tuple[SlotId, int], Optional[Tuple[SlotId, int]]] = {}
-
-    source_slots = set(sg.source_slots())
-    for slot in sg.topological_order():
-        cands = list(candidates.get(slot, ()))
-        for idx, inst in enumerate(cands):
-            key = (slot, idx)
-            if slot in source_slots:
-                dist[key] = pair(source, inst)
-                parent[key] = None
-            for pred in sg.predecessors(slot):
-                pred_cands = list(candidates.get(pred, ()))
-                for pidx, pinst in enumerate(pred_cands):
-                    pkey = (pred, pidx)
-                    if pkey not in dist:
-                        continue
-                    cost = dist[pkey] + pair(pinst, inst)
-                    if key not in dist or cost < dist[key]:
-                        dist[key] = cost
-                        parent[key] = pkey
-
-    best_key: Optional[Tuple[SlotId, int]] = None
-    best_cost = float("inf")
-    for slot in sg.sink_slots():
-        for idx, inst in enumerate(candidates.get(slot, ())):
-            key = (slot, idx)
-            if key not in dist:
-                continue
-            total = dist[key] + pair(inst, destination)
-            if total < best_cost:
-                best_cost = total
-                best_key = key
-    if best_key is None or best_cost == float("inf"):
-        raise NoFeasiblePathError("no feasible configuration maps onto instances")
-
-    assignment: List[Tuple[SlotId, Instance]] = []
-    key: Optional[Tuple[SlotId, int]] = best_key
-    while key is not None:
-        slot, idx = key
-        assignment.append((slot, list(candidates[slot])[idx]))
-        key = parent[key]
-    assignment.reverse()
-    return DagSolution(cost=best_cost, assignment=assignment)
-
-
 def solve_vectorised(
     sg: ServiceGraph,
     candidates: Dict[SlotId, Sequence[Instance]],
@@ -126,7 +63,7 @@ def solve_vectorised(
     destination: Instance,
     block: BlockFn,
 ) -> DagSolution:
-    """Numpy min-plus service-DAG shortest path (same contract as reference).
+    """Numpy min-plus service-DAG shortest path.
 
     Per service-graph edge ``a -> b`` the relaxation is a vectorised min-plus
     product between a's label vector and the dense (a-candidates ×

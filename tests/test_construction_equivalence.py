@@ -34,7 +34,7 @@ from repro.coords.neldermead import (
     nelder_mead_batch,
 )
 from repro.coords.space import CoordinateSpace
-from repro.graph.mst import dense_prim_mst, euclidean_mst, euclidean_mst_reference
+from repro.graph.mst import euclidean_mst, euclidean_mst_reference
 from repro.netsim import PhysicalNetwork, transit_stub
 from repro.overlay.hfc import (
     select_borders_closest,
@@ -201,27 +201,6 @@ class TestMstEquivalence:
             sorted(w for _, _, w in fast), sorted(w for _, _, w in ref)
         )
 
-    @settings(max_examples=25, deadline=None)
-    @given(points=lattice_points)
-    def test_dense_prim_agrees_on_explicit_matrix(self, points):
-        pts = np.asarray(points, dtype=float)
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(dist, np.inf)
-        dense = dense_prim_mst(dist)
-        ref = euclidean_mst_reference(pts)
-        # Tie-broken trees may differ edge-wise but never weight-wise.
-        assert np.isclose(
-            sum(w for _, _, w in dense), sum(w for _, _, w in ref)
-        )
-
-    def test_dense_prim_disconnected_raises(self):
-        from repro.util.errors import GraphError
-
-        w = np.full((3, 3), np.inf)
-        w[0, 1] = w[1, 0] = 1.0
-        with pytest.raises(GraphError):
-            dense_prim_mst(w)
 
 
 class TestClusterPartitionEquivalence:
@@ -346,23 +325,6 @@ class TestPipelineEquivalence:
 
 
 class TestFrameworkModes:
-    def test_framework_vectorized_flag_same_topology(self):
-        from repro.core import HFCFramework
-        from repro.core.config import FrameworkConfig
-
-        fast = HFCFramework.build(
-            proxy_count=60,
-            seed=11,
-            config=FrameworkConfig(vectorized_construction=True),
-        )
-        slow = HFCFramework.build(
-            proxy_count=60,
-            seed=11,
-            config=FrameworkConfig(vectorized_construction=False),
-        )
-        assert fast.clustering.clusters == slow.clustering.clusters
-        assert fast.hfc.borders == slow.hfc.borders
-
     def test_construction_spans_recorded(self):
         from repro.core import HFCFramework
         from repro.telemetry import Telemetry

@@ -27,6 +27,9 @@ class TestConfig:
     def test_bad_services_bounds(self):
         with pytest.raises(ReproError):
             FrameworkConfig(min_services_per_proxy=9, max_services_per_proxy=3)
+        for instances in (0, -1.0):
+            with pytest.raises(ReproError):
+                FrameworkConfig(instances_per_service=instances)
 
     def test_bad_mesh_weight(self):
         with pytest.raises(ReproError):

@@ -5,11 +5,14 @@ Four contracts pin the level-generic abstraction to the code it replaces:
 * depth 2 wraps the bi-level HFC untouched — routing matrices and query
   tables bit-identical to a fresh :func:`build_hfc` (hypothesis-driven
   across churned overlays);
-* depth 3 is decision-for-decision the old three-level prototype —
-  :class:`RecursiveRouter` routes path-identically to
-  ``ThreeLevelRouter`` and the state accounting matches entry for entry,
-  both live and against ``tests/fixtures/hierarchy3_golden.json``, which
-  was recorded from the prototype on the 80-proxy ``framework`` fixture;
+* depth 3 replays ``tests/fixtures/hierarchy3_golden.json`` exactly —
+  groups, borders, state accounting entry for entry, and the routed
+  outcome of 40 seeded requests. The fixture was recorded from the
+  original three-level prototype (``ThreeLevelRouter`` over
+  ``build_multilevel``) on the 80-proxy ``framework`` fixture, so it pins
+  the level-generic code to the behaviour it replaced. Re-record only
+  after an intended change of hierarchy behaviour, with
+  ``PYTHONPATH=src python tests/test_hierarchy_levels.py --record``;
 * an incrementally churned level stack is bit-equal to a cold
   ``build_levels(..., assignments=...)`` rebuild under the same sticky
   assignment (hypothesis-driven, including the cluster-vanish cascade);
@@ -29,13 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import HFCFramework
-from repro.hierarchy import (
-    HierarchyLevels,
-    RecursiveRouter,
-    ThreeLevelRouter,
-    build_levels,
-    build_multilevel,
-)
+from repro.hierarchy import HierarchyLevels, RecursiveRouter, build_levels
 from repro.membership import DynamicOverlay
 from repro.overlay.hfc import build_hfc
 from repro.persistence import load_snapshot, save_snapshot
@@ -193,51 +190,56 @@ class TestDepthTwo:
         assert np.array_equal(tables.d_border, ftables.d_border)
 
 
-# -- depth 3: the prototype identity --------------------------------------------
+# -- depth 3: the prototype identity, pinned by the golden fixture --------------
+
+
+def _observe(framework, hierarchy):
+    return _golden_observation(
+        hierarchy.top_count,
+        hierarchy.top_members,
+        hierarchy.top_border,
+        hierarchy.coordinates_node_states(),
+        hierarchy.service_node_states(),
+        RecursiveRouter(hierarchy),
+        framework,
+    )
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
 
 
 class TestDepthThreeIdentity:
-    def test_construction_matches_prototype(self, framework, hierarchy3):
-        ml = build_multilevel(framework.hfc)
-        assert hierarchy3.top_count == ml.super_count
-        for sid in range(ml.super_count):
-            assert hierarchy3.top_members(sid) == ml.members(sid)
-            for sj in range(ml.super_count):
-                if sid != sj:
-                    assert hierarchy3.top_border(sid, sj) == ml.super_border(
-                        sid, sj
-                    )
-        assert hierarchy3.all_top_borders() == ml.all_super_borders()
+    def test_construction_matches_prototype(self, hierarchy3, golden):
+        members = [hierarchy3.top_members(g) for g in range(hierarchy3.top_count)]
+        assert members == golden["members"]
+        borders = [
+            [i, j, hierarchy3.top_border(i, j)]
+            for i in range(hierarchy3.top_count)
+            for j in range(hierarchy3.top_count)
+            if i != j
+        ]
+        assert borders == golden["borders"]
+        assert hierarchy3.all_top_borders() == sorted({b for _, _, b in borders})
 
     def test_routing_path_identical_to_three_level_router(
-        self, framework, hierarchy3
+        self, framework, hierarchy3, golden
     ):
-        new = RecursiveRouter(hierarchy3)
-        old = ThreeLevelRouter(build_multilevel(framework.hfc))
-        for i in range(40):
+        router = RecursiveRouter(hierarchy3)
+        for i, want in enumerate(golden["outcomes"]):
             request = framework.random_request(seed=300 + i)
-            assert _outcome(new, request) == _outcome(old, request)
+            assert _encode_outcome(_outcome(router, request)) == want
 
-    def test_state_accounting_matches_prototype(self, framework, hierarchy3):
-        ml = build_multilevel(framework.hfc)
+    def test_state_accounting_matches_prototype(self, hierarchy3, golden):
         assert (
-            hierarchy3.coordinates_node_states()
-            == ml.coordinates_node_states()
+            _encode_states(hierarchy3.coordinates_node_states())
+            == golden["coordinates_node_states"]
         )
-        assert hierarchy3.service_node_states() == ml.service_node_states()
-
-    def test_replays_golden_fixture(self, framework, hierarchy3):
-        golden = json.loads(GOLDEN.read_text())
-        observed = _golden_observation(
-            hierarchy3.top_count,
-            hierarchy3.top_members,
-            hierarchy3.top_border,
-            hierarchy3.coordinates_node_states(),
-            hierarchy3.service_node_states(),
-            RecursiveRouter(hierarchy3),
-            framework,
+        assert (
+            _encode_states(hierarchy3.service_node_states())
+            == golden["service_node_states"]
         )
-        assert observed == golden
 
     def test_depth2_accounting_matches_overhead_module(self, framework):
         h = build_levels(framework.hfc, 2)
@@ -429,17 +431,7 @@ if __name__ == "__main__":
             "usage: PYTHONPATH=src python tests/test_hierarchy_levels.py --record"
         )
     fw = HFCFramework.build(proxy_count=80, seed=7)
-    ml = build_multilevel(fw.hfc)
-    observed = _golden_observation(
-        ml.super_count,
-        ml.members,
-        ml.super_border,
-        ml.coordinates_node_states(),
-        ml.service_node_states(),
-        ThreeLevelRouter(ml),
-        fw,
-    )
-    GOLDEN.parent.mkdir(exist_ok=True)
+    observed = _observe(fw, build_levels(fw.hfc, 3))
     lines = [
         f" {json.dumps(key)}: [\n"
         + ",\n".join(f"  {json.dumps(item)}" for item in observed[key])

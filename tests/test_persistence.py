@@ -90,6 +90,15 @@ class TestFormatGuard:
         payload = framework_to_dict(tiny_framework)
         assert payload["format_version"] == FORMAT_VERSION
 
+    def test_retired_config_fields_ignored(self, tiny_framework):
+        """Artifacts written with since-retired config knobs still load
+        (JSON and ``.npz`` loaders share the config reader)."""
+        payload = framework_to_dict(tiny_framework)
+        payload["config"]["base"].update(
+            vectorized_construction=True, query_workers=None
+        )
+        assert framework_from_dict(payload).config == tiny_framework.config
+
 
 # -- binary snapshots --------------------------------------------------------------
 

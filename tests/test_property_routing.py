@@ -163,12 +163,11 @@ def test_protocol_converges_on_arbitrary_structures(case):
 @settings(max_examples=20, deadline=None)
 @given(synthetic_overlay())
 def test_three_level_routing_total(case):
-    """Property: the three-level router is total on arbitrary structures."""
-    from repro.hierarchy import ThreeLevelRouter, build_multilevel
+    """Property: the depth-3 recursive router is total on arbitrary structures."""
+    from repro.hierarchy import RecursiveRouter, build_levels
 
     hfc, request = case
-    multilevel = build_multilevel(hfc)
-    router = ThreeLevelRouter(multilevel)
+    router = RecursiveRouter(build_levels(hfc, 3))
     try:
         path = router.route(request)
     except NoFeasiblePathError:

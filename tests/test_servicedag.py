@@ -1,8 +1,9 @@
 """Tests for the service-DAG solvers: reference, vectorised, brute force.
 
 The key property pinning the whole routing layer: on random inputs the
-vectorised solver, the pure-Python reference, and exhaustive brute force all
-return the same optimal cost.
+vectorised solver, the pure-Python reference (a test oracle, kept in
+``tests/oracles``), and exhaustive brute force all return the same optimal
+cost.
 """
 
 import math
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing import brute_force, solve_reference, solve_vectorised
+from repro.routing import brute_force, solve_vectorised
+from tests.oracles import solve_reference
 from repro.services import ServiceGraph, linear_graph, branching_graph
 from repro.util.errors import NoFeasiblePathError, RoutingError
 
