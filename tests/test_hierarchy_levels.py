@@ -93,20 +93,22 @@ def _encode_states(states):
     return sorted([int(p), int(v)] for p, v in states.items())
 
 
-def _golden_observation(
-    groups, members, border, coordinates_states, service_states, router, framework
-):
-    """The depth-3 facts the golden fixture pins, from any three-level API."""
+def _observe(framework, hierarchy):
+    """The depth-3 facts the golden fixture pins, in its JSON form."""
+    groups = range(hierarchy.top_count)
+    router = RecursiveRouter(hierarchy)
     return {
-        "members": [[int(p) for p in members(g)] for g in range(groups)],
+        "members": [[int(p) for p in hierarchy.top_members(g)] for g in groups],
         "borders": [
-            [i, j, int(border(i, j))]
-            for i in range(groups)
-            for j in range(groups)
+            [i, j, int(hierarchy.top_border(i, j))]
+            for i in groups
+            for j in groups
             if i != j
         ],
-        "coordinates_node_states": _encode_states(coordinates_states),
-        "service_node_states": _encode_states(service_states),
+        "coordinates_node_states": _encode_states(
+            hierarchy.coordinates_node_states()
+        ),
+        "service_node_states": _encode_states(hierarchy.service_node_states()),
         "outcomes": [
             _encode_outcome(
                 _outcome(router, framework.random_request(seed=300 + i))
@@ -193,53 +195,30 @@ class TestDepthTwo:
 # -- depth 3: the prototype identity, pinned by the golden fixture --------------
 
 
-def _observe(framework, hierarchy):
-    return _golden_observation(
-        hierarchy.top_count,
-        hierarchy.top_members,
-        hierarchy.top_border,
-        hierarchy.coordinates_node_states(),
-        hierarchy.service_node_states(),
-        RecursiveRouter(hierarchy),
-        framework,
-    )
-
-
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
 
 
+@pytest.fixture(scope="module")
+def observed(framework, hierarchy3):
+    return _observe(framework, hierarchy3)
+
+
 class TestDepthThreeIdentity:
-    def test_construction_matches_prototype(self, hierarchy3, golden):
-        members = [hierarchy3.top_members(g) for g in range(hierarchy3.top_count)]
-        assert members == golden["members"]
-        borders = [
-            [i, j, hierarchy3.top_border(i, j)]
-            for i in range(hierarchy3.top_count)
-            for j in range(hierarchy3.top_count)
-            if i != j
-        ]
-        assert borders == golden["borders"]
-        assert hierarchy3.all_top_borders() == sorted({b for _, _, b in borders})
-
-    def test_routing_path_identical_to_three_level_router(
-        self, framework, hierarchy3, golden
-    ):
-        router = RecursiveRouter(hierarchy3)
-        for i, want in enumerate(golden["outcomes"]):
-            request = framework.random_request(seed=300 + i)
-            assert _encode_outcome(_outcome(router, request)) == want
-
-    def test_state_accounting_matches_prototype(self, hierarchy3, golden):
-        assert (
-            _encode_states(hierarchy3.coordinates_node_states())
-            == golden["coordinates_node_states"]
+    def test_construction_matches_prototype(self, hierarchy3, observed, golden):
+        assert observed["members"] == golden["members"]
+        assert observed["borders"] == golden["borders"]
+        assert hierarchy3.all_top_borders() == sorted(
+            {proxy for _, _, proxy in golden["borders"]}
         )
-        assert (
-            _encode_states(hierarchy3.service_node_states())
-            == golden["service_node_states"]
-        )
+
+    def test_routing_path_identical_to_three_level_router(self, observed, golden):
+        assert observed["outcomes"] == golden["outcomes"]
+
+    def test_state_accounting_matches_prototype(self, observed, golden):
+        for key in ("coordinates_node_states", "service_node_states"):
+            assert observed[key] == golden[key]
 
     def test_depth2_accounting_matches_overhead_module(self, framework):
         h = build_levels(framework.hfc, 2)
