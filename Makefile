@@ -100,6 +100,7 @@ perfbench:
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks --collect-only -q
+	PYTHONPATH=src $(PYTHON) scripts/check_imports.py
 	$(MAKE) lint
 	$(MAKE) fault-matrix
 	$(MAKE) perfbench

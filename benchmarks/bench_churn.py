@@ -7,10 +7,11 @@ Two extension benches around the dynamic-membership machinery:
 * ``test_incremental_churn_speedup`` — the incremental-overlay acceptance
   bench. One pre-scripted join/leave workload (coordinates measured once,
   outside the timed region) is replayed twice on identically built
-  overlays: once with ``incremental=False`` (every event rebuilds borders
-  from scratch) and once with ``incremental=True`` (only the touched
-  cluster is patched). Both replicas must end bit-identical — the speedup
-  is a pure like-for-like number. The same test also runs the Section-4
+  overlays: once through ``tests/oracles/churn.py``'s
+  ``RebuildingOverlay`` (every event rebuilds borders from scratch) and
+  once through ``DynamicOverlay`` (only the touched cluster is patched).
+  Both replicas must end bit-identical — the speedup is a pure
+  like-for-like number. The same test also runs the Section-4
   state protocol in ``full`` and ``delta`` modes over the same topology
   and seed, comparing total bytes at a fixed steady-state horizon.
 
@@ -33,6 +34,7 @@ from repro.experiments import ascii_table, scaled_table1
 from repro.membership import DynamicOverlay, run_churn_session
 from repro.state.protocol import StateDistributionProtocol
 from repro.util.rng import ensure_rng
+from tests.oracles.churn import RebuildingOverlay
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_churn.json"
@@ -85,11 +87,11 @@ def _script_events(framework, events, seed):
 def _replay(framework, script, incremental):
     """Replay *script* on a fresh overlay; returns (overlay, seconds)."""
     start = time.perf_counter()
-    dyn = DynamicOverlay(
+    overlay_class = DynamicOverlay if incremental else RebuildingOverlay
+    dyn = overlay_class(
         framework,
         restructure_tolerance=None,
         track_quality=False,
-        incremental=incremental,
     )
     for kind, target, services, coords in script:
         if kind == "join":

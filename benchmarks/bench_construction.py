@@ -2,10 +2,12 @@
 
 Times the full Section-3 construction (landmark embedding, MST clustering,
 border selection) twice over the *same* workload: once through the batched
-numpy kernels (the default) and once through the original per-host /
-per-pair reference path (``vectorized=False``). Each mode gets a fresh,
-identically-seeded :class:`PhysicalNetwork` so Dijkstra caches and RNG
-streams start from the same state — the comparison is code path only.
+numpy kernels (the library's only path) and once through the original
+per-host / per-pair loops, kept as oracles in
+``tests/oracles/construction.py`` (``python -m pytest`` puts the repository
+root on ``sys.path``). Each mode gets a fresh, identically-seeded
+:class:`PhysicalNetwork` so Dijkstra caches and RNG streams start from the
+same state — the comparison is code path only.
 
 The two modes must produce identical clusters and identical border pairs
 (the equivalence suite pins this property; the bench re-asserts it on the
@@ -32,12 +34,16 @@ from pathlib import Path
 from repro.cluster.mstcluster import cluster_nodes
 from repro.coords.embedding import build_coordinate_space
 from repro.experiments import ascii_table
-from repro.graph.mst import euclidean_mst, euclidean_mst_reference
 from repro.netsim import PhysicalNetwork, transit_stub
-from repro.overlay.hfc import build_hfc
+from repro.overlay.hfc import HFCTopology, build_hfc
 from repro.overlay.network import OverlayNetwork
 from repro.services.catalog import scaled_catalog
 from repro.services.placement import install_services
+from tests.oracles.construction import (
+    build_coordinate_space_reference,
+    cluster_nodes_reference,
+    select_borders_closest_reference,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_construction.json"
@@ -62,17 +68,13 @@ def _construct(topo, proxies, noise, vectorized):
     timings = {}
 
     start = time.perf_counter()
-    space, report = build_coordinate_space(
-        physical, proxies, seed=SEED, vectorized=vectorized
-    )
+    embed = build_coordinate_space if vectorized else build_coordinate_space_reference
+    space, report = embed(physical, proxies, seed=SEED)
     timings["embedding"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    clustering = cluster_nodes(
-        space,
-        proxies,
-        mst=euclidean_mst if vectorized else euclidean_mst_reference,
-    )
+    cluster = cluster_nodes if vectorized else cluster_nodes_reference
+    clustering = cluster(space, proxies)
     timings["clustering"] = time.perf_counter() - start
 
     catalog = scaled_catalog(len(proxies))
@@ -83,9 +85,15 @@ def _construct(topo, proxies, noise, vectorized):
         physical=physical, proxies=proxies, placement=placement, space=space
     )
     start = time.perf_counter()
-    hfc = build_hfc(
-        overlay, clustering, engine="vectorized" if vectorized else "reference"
-    )
+    if vectorized:
+        hfc = build_hfc(overlay, clustering)
+    else:
+        hfc = HFCTopology(
+            overlay=overlay,
+            clustering=clustering,
+            space=space,
+            borders=select_borders_closest_reference(space, clustering),
+        )
     timings["borders"] = time.perf_counter() - start
 
     timings["total"] = sum(timings.values())

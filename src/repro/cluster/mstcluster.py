@@ -160,16 +160,13 @@ def cluster_nodes(
     space: CoordinateSpace,
     nodes: Optional[Sequence[NodeId]] = None,
     config: Optional[ClusteringConfig] = None,
-    *,
-    mst=euclidean_mst,
 ) -> Clustering:
     """Cluster *nodes* of *space* by Zahn's inconsistent-edge method.
 
+    Builds the MST of the nodes' coordinates with
+    :func:`~repro.graph.mst.euclidean_mst` and cuts its inconsistent edges.
     Returns a :class:`Clustering`. With a single node (or all points
-    coincident) the result is one cluster. *mst* selects the MST kernel:
-    the vectorized :func:`~repro.graph.mst.euclidean_mst` by default, or
-    :func:`~repro.graph.mst.euclidean_mst_reference` when the benchmark /
-    equivalence suites pin the pre-vectorization code path.
+    coincident) the result is one cluster.
     """
     config = config or ClusteringConfig()
     node_list: List[NodeId] = list(nodes) if nodes is not None else space.nodes()
@@ -177,10 +174,17 @@ def cluster_nodes(
         raise ClusteringError("cannot cluster an empty node set")
     if len(node_list) == 1:
         return Clustering(clusters=[node_list], labels={node_list[0]: 0})
-
     points = space.array(node_list)
-    mst_edges = mst(points)
+    return _cut_inconsistent(node_list, points, euclidean_mst(points), config)
 
+
+def _cut_inconsistent(
+    node_list: List[NodeId],
+    points: np.ndarray,
+    mst_edges: List[Tuple[int, int, float]],
+    config: ClusteringConfig,
+) -> Clustering:
+    """Zahn's cut of *mst_edges* (index triples over *node_list*)."""
     adjacency: Dict[int, Dict[int, float]] = {i: {} for i in range(len(node_list))}
     for i, j, w in mst_edges:
         adjacency[i][j] = w

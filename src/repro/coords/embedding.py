@@ -314,11 +314,15 @@ def build_coordinate_space(
     dimension: int = 2,
     probes: int = 3,
     seed: RngLike = None,
-    vectorized: bool = True,
     workers: Optional[int] = None,
     telemetry=None,
 ) -> Tuple[CoordinateSpace, EmbeddingReport]:
     """End-to-end distance-map construction for *hosts* (paper Section 3.1).
+
+    The landmarks measure each other pair by pair; the ordinary hosts are
+    then measured in one :meth:`PhysicalNetwork.measure_many` matrix (true
+    delays from the landmark side: m Dijkstra sweeps instead of n) and
+    solved together by the batched Nelder-Mead of :func:`locate_hosts`.
 
     Args:
         physical: delay oracle (provides noisy measurements).
@@ -328,14 +332,6 @@ def build_coordinate_space(
         dimension: coordinate-space dimension k (paper uses 2).
         probes: measurements per pair; the minimum is kept.
         seed: RNG seed for landmark choice and refinement starts.
-        vectorized: solve every ordinary host's coordinates with the batched
-            Nelder-Mead over one measurement matrix (the fast default).
-            ``False`` runs the original per-host loop — kept as the reference
-            path for the equivalence suite. Both modes consume the RNG in
-            the identical order; host-to-landmark *true* delays are computed
-            from the landmark side in vectorized mode (m Dijkstra sweeps
-            instead of n), which can shift measurements by float summation
-            order (ulps) but yields the same clusters and borders.
         workers: optional process-pool fan-out for the per-host solves
             (hosts embed independently given the landmarks). ``None`` or 1
             solves in-process.
@@ -372,33 +368,21 @@ def build_coordinate_space(
     landmark_index = {router: i for i, router in enumerate(landmarks)}
     ordinary = [host for host in hosts if host not in landmark_index]
 
-    located: Dict[int, np.ndarray] = {}
-    if vectorized:
-        with telemetry.tracer.span(
-            "construct.embedding.measure_hosts", hosts=len(ordinary)
-        ):
-            to_landmarks = physical.measure_many(ordinary, landmarks, probes=probes)
-            measurement_count += probes * m * len(ordinary)
-        with telemetry.tracer.span(
-            "construct.embedding.locate", hosts=len(ordinary), workers=workers or 1
-        ):
-            if workers is not None and workers > 1:
-                host_coords = locate_hosts_parallel(
-                    landmark_coords, to_landmarks, workers=workers
-                )
-            else:
-                host_coords = locate_hosts(landmark_coords, to_landmarks)
-        located = dict(zip(ordinary, host_coords))
-    else:
-        with telemetry.tracer.span(
-            "construct.embedding.locate", hosts=len(ordinary), workers=0
-        ):
-            for host in ordinary:
-                to_host = [
-                    physical.measure(host, lm, probes=probes) for lm in landmarks
-                ]
-                measurement_count += probes * m
-                located[host] = locate_host(landmark_coords, to_host)
+    with telemetry.tracer.span(
+        "construct.embedding.measure_hosts", hosts=len(ordinary)
+    ):
+        to_landmarks = physical.measure_many(ordinary, landmarks, probes=probes)
+        measurement_count += probes * m * len(ordinary)
+    with telemetry.tracer.span(
+        "construct.embedding.locate", hosts=len(ordinary), workers=workers or 1
+    ):
+        if workers is not None and workers > 1:
+            host_coords = locate_hosts_parallel(
+                landmark_coords, to_landmarks, workers=workers
+            )
+        else:
+            host_coords = locate_hosts(landmark_coords, to_landmarks)
+    located = dict(zip(ordinary, host_coords))
 
     # Assemble in *hosts* order so the space's node order (and anything
     # iterating it) is independent of which hosts double as landmarks.

@@ -5,7 +5,6 @@ from repro.graph.graph import Graph
 from repro.graph.mst import (
     UnionFind,
     euclidean_mst,
-    euclidean_mst_reference,
     kruskal_mst,
     prim_mst,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "dijkstra",
     "eccentricity",
     "euclidean_mst",
-    "euclidean_mst_reference",
     "is_connected",
     "kruskal_mst",
     "prim_mst",

@@ -4,7 +4,6 @@ from repro.overlay.hfc import (
     HFCTopology,
     build_hfc,
     select_borders_closest,
-    select_borders_closest_reference,
 )
 from repro.overlay.mesh import build_gabriel_mesh, build_mesh, mesh_statistics
 from repro.overlay.network import OverlayNetwork, ProxyId
@@ -18,5 +17,4 @@ __all__ = [
     "build_mesh",
     "mesh_statistics",
     "select_borders_closest",
-    "select_borders_closest_reference",
 ]

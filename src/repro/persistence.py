@@ -1,26 +1,25 @@
-"""Persistence: save and load built overlays, in JSON or binary form.
+"""Persistence: save and load built overlays as binary snapshots.
 
 Building a framework runs the full stochastic pipeline (topology draw,
 landmark embedding, clustering). For reproducible experiment artifacts —
 "the exact overlay these numbers came from" — this module serialises a
-built :class:`~repro.core.framework.HFCFramework` and restores it
+built :class:`~repro.core.framework.HFCFramework` (or a churned
+:class:`~repro.membership.churn.DynamicOverlay`) and restores it
 byte-for-byte equivalent: same topology, same coordinates, same
 clustering, same borders, so every router built on top routes
-identically. Two formats coexist:
+identically.
 
-* **JSON** (:func:`save_framework` / :func:`load_framework`) — the
-  portable, diffable fallback: one human-readable document, float values
-  round-tripped exactly by the JSON codec's shortest-repr rule.
-* **Binary snapshot** (:func:`save_snapshot` / :func:`load_snapshot`) —
-  one ``.npz`` archive holding the columnar overlay state
-  (:class:`~repro.state.columnar.ColumnarOverlayState`) as raw float64 /
-  int64 arrays plus one JSON metadata string. Arrays move between disk
-  and the kernels without any per-node Python conversion, which is what
-  makes warm starts an order of magnitude faster than a cold build.
-  Snapshots carry the :class:`~repro.core.versioning.OverlayVersion` they
-  were captured at, and optionally the state plane (SCT tables + delta
-  streams, see ``StateDistributionProtocol.snapshot_state_plane``) so
-  crash/restart scenarios can reload knowledge instead of re-learning it.
+A snapshot (:func:`save_snapshot` / :func:`load_snapshot`) is one ``.npz``
+archive holding the columnar overlay state
+(:class:`~repro.state.columnar.ColumnarOverlayState`) as raw float64 /
+int64 arrays plus one JSON metadata string. Arrays move between disk and
+the kernels without any per-node Python conversion, which is what makes
+warm starts an order of magnitude faster than a cold build. Snapshots
+carry the :class:`~repro.core.versioning.OverlayVersion` they were
+captured at, and optionally the state plane (SCT tables + delta streams,
+see ``StateDistributionProtocol.snapshot_state_plane``) so crash/restart
+scenarios can reload knowledge instead of re-learning it. A malformed
+archive raises :class:`~repro.util.errors.ReproError`.
 
 Delay-oracle caches are rebuilt lazily after loading. The build's
 measurement-noise RNG state is *not* preserved; a restore seeds a fresh
@@ -38,86 +37,20 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.mstcluster import Clustering, ClusteringConfig
+from repro.cluster.mstcluster import ClusteringConfig
 from repro.coords.embedding import EmbeddingReport
-from repro.coords.space import CoordinateSpace
 from repro.core.config import FrameworkConfig
 from repro.core.framework import HFCFramework
 from repro.core.versioning import OverlayVersion
 from repro.graph.graph import Graph
 from repro.netsim.physical import PhysicalNetwork
 from repro.netsim.topology import PhysicalTopology, TransitStubConfig
-from repro.overlay.hfc import HFCTopology
-from repro.overlay.network import OverlayNetwork
 from repro.services.catalog import ServiceCatalog
 from repro.state.columnar import ColumnarOverlayState, HierarchyLevel
 from repro.util.errors import ReproError
 
-#: artifact schema version; bump on incompatible changes
-FORMAT_VERSION = 1
-
 #: binary snapshot schema version; bump on incompatible changes
 SNAPSHOT_FORMAT_VERSION = 1
-
-
-def framework_to_dict(framework: HFCFramework) -> Dict[str, Any]:
-    """Serialise *framework* into a JSON-ready dict."""
-    topo = framework.physical.topology
-    return {
-        "format_version": FORMAT_VERSION,
-        "config": {
-            "base": {
-                k: v
-                for k, v in dataclasses.asdict(framework.config).items()
-                if k not in ("clustering", "transit_stub")
-            },
-            "clustering": dataclasses.asdict(framework.config.clustering),
-            "transit_stub": dataclasses.asdict(framework.config.transit_stub),
-        },
-        "physical": {
-            "noise": framework.physical.noise,
-            "nodes": [
-                {
-                    "id": node,
-                    "pos": list(topo.positions[node]),
-                    "kind": topo.node_kind[node],
-                    "stub_domain": topo.stub_domain.get(node, -1),
-                }
-                for node in topo.graph.nodes()
-            ],
-            "edges": [[u, v, w] for u, v, w in topo.graph.edges()],
-        },
-        "overlay": {
-            "proxies": list(framework.overlay.proxies),
-            "placement": {
-                str(p): sorted(services)
-                for p, services in framework.overlay.placement.items()
-            },
-        },
-        "catalog": {
-            "names": list(framework.catalog.names),
-            "descriptions": dict(framework.catalog.descriptions),
-        },
-        "space": {
-            str(p): list(framework.space.coordinate(p))
-            for p in framework.space.nodes()
-        },
-        "embedding": {
-            "landmark_ids": list(framework.embedding_report.landmark_ids),
-            "landmark_coordinates": np.asarray(
-                framework.embedding_report.landmark_coordinates
-            ).tolist(),
-            "dimension": framework.embedding_report.dimension,
-            "measurement_count": framework.embedding_report.measurement_count,
-            "landmark_fit_error": framework.embedding_report.landmark_fit_error,
-        },
-        "clustering": {
-            "clusters": [list(c) for c in framework.clustering.clusters],
-        },
-        "borders": [
-            [i, j, proxy] for (i, j), proxy in sorted(framework.hfc.borders.items())
-        ],
-    }
 
 
 def _restored_network(
@@ -138,7 +71,7 @@ def _restored_network(
 def _config_from(saved: Dict[str, Any]) -> FrameworkConfig:
     """Rebuild the :class:`FrameworkConfig` an artifact was written with.
 
-    Base fields this version no longer has are dropped, so artifacts that
+    Base fields this version no longer has are dropped, so snapshots that
     recorded since-retired throughput knobs still load.
     """
     known = {f.name for f in dataclasses.fields(FrameworkConfig)}
@@ -148,101 +81,6 @@ def _config_from(saved: Dict[str, Any]) -> FrameworkConfig:
         clustering=ClusteringConfig(**saved["clustering"]),
         transit_stub=TransitStubConfig(**saved["transit_stub"]),
     )
-
-
-def framework_from_dict(payload: Dict[str, Any]) -> HFCFramework:
-    """Reconstruct a framework from :func:`framework_to_dict` output."""
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported artifact format {version!r} (expected {FORMAT_VERSION})"
-        )
-
-    config = _config_from(payload["config"])
-
-    graph = Graph()
-    positions = {}
-    node_kind = {}
-    stub_domain = {}
-    for node in payload["physical"]["nodes"]:
-        node_id = node["id"]
-        graph.add_node(node_id)
-        positions[node_id] = tuple(node["pos"])
-        node_kind[node_id] = node["kind"]
-        if node["stub_domain"] >= 0:
-            stub_domain[node_id] = node["stub_domain"]
-    for u, v, w in payload["physical"]["edges"]:
-        graph.add_edge(u, v, w)
-    topology = PhysicalTopology(
-        graph=graph,
-        positions=positions,
-        node_kind=node_kind,
-        stub_domain=stub_domain,
-    )
-    physical = _restored_network(
-        topology,
-        payload["physical"]["noise"],
-        np.asarray(payload["physical"]["edges"], dtype=float),
-    )
-
-    proxies = list(payload["overlay"]["proxies"])
-    placement = {
-        int(p): frozenset(services)
-        for p, services in payload["overlay"]["placement"].items()
-    }
-    space = CoordinateSpace(
-        {int(p): tuple(coord) for p, coord in payload["space"].items()}
-    )
-    overlay = OverlayNetwork(
-        physical=physical, proxies=proxies, placement=placement, space=space
-    )
-
-    catalog = ServiceCatalog(
-        names=payload["catalog"]["names"],
-        descriptions=payload["catalog"]["descriptions"],
-    )
-    embedding = EmbeddingReport(
-        landmark_ids=list(payload["embedding"]["landmark_ids"]),
-        landmark_coordinates=np.array(
-            payload["embedding"]["landmark_coordinates"], dtype=float
-        ),
-        dimension=payload["embedding"]["dimension"],
-        measurement_count=payload["embedding"]["measurement_count"],
-        landmark_fit_error=payload["embedding"]["landmark_fit_error"],
-    )
-    clusters = [list(c) for c in payload["clustering"]["clusters"]]
-    labels = {p: cid for cid, members in enumerate(clusters) for p in members}
-    clustering = Clustering(clusters=clusters, labels=labels)
-
-    borders = {(i, j): proxy for i, j, proxy in payload["borders"]}
-    hfc = HFCTopology(
-        overlay=overlay, clustering=clustering, space=space, borders=borders
-    )
-    return HFCFramework(
-        config=config,
-        physical=physical,
-        overlay=overlay,
-        catalog=catalog,
-        space=space,
-        embedding_report=embedding,
-        clustering=clustering,
-        hfc=hfc,
-    )
-
-
-def save_framework(framework: HFCFramework, path: str) -> None:
-    """Write *framework* to *path* as JSON."""
-    with open(path, "w") as handle:
-        json.dump(framework_to_dict(framework), handle)
-
-
-def load_framework(path: str) -> HFCFramework:
-    """Load a framework previously written by :func:`save_framework`."""
-    with open(path) as handle:
-        return framework_from_dict(json.load(handle))
-
-
-# -- binary snapshots ------------------------------------------------------------
 
 
 @dataclass
@@ -381,8 +219,26 @@ def load_snapshot(path: str) -> OverlaySnapshot:
     snapshot's coordinate array (:meth:`ColumnarOverlayState.space_view`),
     and the topology gets the columnar state attached, so post-restore
     query-table construction consumes the loaded arrays directly.
+
+    A *path* that cannot be opened raises :class:`OSError`. Any malformed
+    archive (truncated, bit-flipped, not a zip, missing arrays or meta
+    keys, inconsistent shapes, another format version) raises
+    :class:`ReproError`, chained to the low-level error that exposed it.
     """
-    with np.load(path, allow_pickle=False) as data:
+    with open(path, "rb") as handle:
+        try:
+            return _read_snapshot(handle)
+        except ReproError:
+            raise
+        except Exception as exc:
+            # zipfile, the .npy header parser (down to tokenize), the JSON
+            # codec and the array reads each raise their own types on
+            # corrupt bytes; no fixed list of them is complete
+            raise ReproError(f"malformed snapshot {path!r}: {exc!r}") from exc
+
+
+def _read_snapshot(handle) -> OverlaySnapshot:
+    with np.load(handle, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         version = meta.get("format_version")
         if version != SNAPSHOT_FORMAT_VERSION:
@@ -425,6 +281,10 @@ def load_snapshot(path: str) -> OverlaySnapshot:
 
     config = _config_from(meta["config"])
     kinds = meta["node_kinds"]
+    kind_codes = arrays["phys_kind"]
+    if kind_codes.size and not 0 <= kind_codes.min() <= kind_codes.max() < len(kinds):
+        # a negative code would otherwise index the kind list from the end
+        raise ReproError("snapshot node-kind code outside the stored kinds")
     graph = Graph()
     positions = {}
     node_kind = {}
@@ -433,7 +293,7 @@ def load_snapshot(path: str) -> OverlaySnapshot:
     for i, node in enumerate(arrays["phys_nodes"].tolist()):
         graph.add_node(node)
         positions[node] = tuple(pos_rows[i])
-        node_kind[node] = kinds[int(arrays["phys_kind"][i])]
+        node_kind[node] = kinds[int(kind_codes[i])]
         domain = int(arrays["phys_stub"][i])
         if domain >= 0:
             stub_domain[node] = domain

@@ -4,7 +4,8 @@ The PR that vectorized the Section-3 construction pipeline (batched
 Nelder-Mead embedding, squared-distance argmin Prim, blocked border-pair
 minima) claims the fast kernels are *drop-in*: same MST edge sets, same
 cluster partitions, same border pairs as the original per-host/per-pair
-loops. These tests pin that claim:
+loops, which now live only as oracles in ``tests/oracles/construction.py``.
+These tests pin that claim:
 
 * solver-level, bit-exact: the batched Nelder-Mead replays the scalar
   algorithm's decisions, so on identical inputs the results are identical
@@ -14,10 +15,11 @@ loops. These tests pin that claim:
   topologies (hypothesis-driven, integer coordinates so distance ties are
   exact in both squared and rooted form);
 * pipeline-level: end-to-end construction over real transit-stub networks
-  produces identical clusters and identical border pairs in both modes
-  (fixed seeds; the vectorized mode measures true delays from the landmark
-  side, which shifts floats by summation order, so coordinates agree to
-  tolerance rather than bitwise while the topology stays identical).
+  produces identical clusters and identical border pairs through the live
+  pipeline and the oracles (fixed seeds; the live builder measures true
+  delays from the landmark side, which shifts floats by summation order,
+  so coordinates agree to tolerance rather than bitwise while the
+  topology stays identical).
 """
 
 import numpy as np
@@ -34,10 +36,13 @@ from repro.coords.neldermead import (
     nelder_mead_batch,
 )
 from repro.coords.space import CoordinateSpace
-from repro.graph.mst import euclidean_mst, euclidean_mst_reference
+from repro.graph.mst import euclidean_mst
 from repro.netsim import PhysicalNetwork, transit_stub
-from repro.overlay.hfc import (
-    select_borders_closest,
+from repro.overlay.hfc import select_borders_closest
+from tests.oracles.construction import (
+    build_coordinate_space_reference,
+    cluster_nodes_reference,
+    euclidean_mst_reference,
     select_borders_closest_reference,
 )
 
@@ -211,8 +216,8 @@ class TestClusterPartitionEquivalence:
             {i: tuple(map(float, p)) for i, p in enumerate(points)}
         )
         config = ClusteringConfig(factor=2.0, min_cluster_size=1)
-        fast = cluster_nodes(space, config=config, mst=euclidean_mst)
-        ref = cluster_nodes(space, config=config, mst=euclidean_mst_reference)
+        fast = cluster_nodes(space, config=config)
+        ref = cluster_nodes_reference(space, config=config)
         assert fast.clusters == ref.clusters
         assert fast.labels == ref.labels
 
@@ -284,11 +289,14 @@ class TestPipelineEquivalence:
         topo = transit_stub(150, seed=seed)
         net = PhysicalNetwork(topo, noise=0.10, seed=seed)
         proxies = net.pick_overlay_nodes(80, seed=seed)
-        space, report = build_coordinate_space(
-            net, proxies, seed=seed, vectorized=vectorized
-        )
-        mst = euclidean_mst if vectorized else euclidean_mst_reference
-        clustering = cluster_nodes(space, proxies, mst=mst)
+        if vectorized:
+            space, report = build_coordinate_space(net, proxies, seed=seed)
+            clustering = cluster_nodes(space, proxies)
+        else:
+            space, report = build_coordinate_space_reference(
+                net, proxies, seed=seed
+            )
+            clustering = cluster_nodes_reference(space, proxies)
         return space, report, clustering, proxies
 
     def test_identical_clusters_and_borders(self, seed):

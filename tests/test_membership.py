@@ -1,11 +1,13 @@
 """Tests for the dynamic-membership extension (joins, leaves, restructuring)."""
 
+import numpy as np
 import pytest
 
 from repro.membership import DynamicOverlay, run_churn_session
 from repro.routing import HierarchicalRouter, validate_path
 from repro.services import ServiceRequest, linear_graph
 from repro.util.errors import MembershipError
+from tests.oracles.churn import RebuildingOverlay
 
 
 @pytest.fixture
@@ -37,6 +39,28 @@ class TestJoin:
         existing = dyn.proxies[0]
         with pytest.raises(MembershipError):
             dyn.join(existing, frozenset({"s0"}))
+
+    @pytest.mark.parametrize(
+        "coords",
+        [(5.0,), (1.0, 2.0, 3.0), (), (float("nan"), 0.0), (0.0, float("inf"))],
+        ids=["short", "long", "empty", "nan", "inf"],
+    )
+    def test_join_rejects_malformed_coords(self, framework, dyn, coords):
+        """Bad coordinates raise MembershipError before anything changes
+        (a 1-tuple used to broadcast into a 2-D row and join silently)."""
+        router_id = free_stub(framework, dyn)
+        before = (dyn.size, dyn.version, len(dyn.history), dyn.hfc.borders)
+        with pytest.raises(MembershipError, match="coords"):
+            dyn.join(router_id, frozenset({"s0"}), coords=coords)
+        after = (dyn.size, dyn.version, len(dyn.history), dyn.hfc.borders)
+        assert after == before
+        assert not dyn.is_member(router_id)
+
+    def test_join_accepts_numpy_coords(self, framework, dyn):
+        router_id = free_stub(framework, dyn)
+        coords = np.asarray(dyn.locate(router_id))
+        dyn.join(router_id, frozenset({"s0"}), coords=coords)
+        assert dyn.space.coordinate(router_id) == tuple(coords.tolist())
 
     def test_join_updates_placement_and_space(self, framework, dyn):
         router_id = free_stub(framework, dyn)
@@ -124,9 +148,6 @@ class TestRestructure:
 
 
 class TestVersioning:
-    def test_incremental_is_the_default(self, dyn):
-        assert dyn.incremental is True
-
     def test_join_and_leave_bump_step(self, framework, dyn):
         v0 = dyn.version
         router_id = free_stub(framework, dyn)
@@ -154,9 +175,7 @@ class TestVersioning:
 
     def test_full_mode_produces_same_topology(self, framework):
         inc = DynamicOverlay(framework, restructure_tolerance=None)
-        full = DynamicOverlay(
-            framework, restructure_tolerance=None, incremental=False
-        )
+        full = RebuildingOverlay(framework, restructure_tolerance=None)
         victim = inc.hfc.all_border_nodes()[0]
         inc.leave(victim)
         full.leave(victim)

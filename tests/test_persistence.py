@@ -1,5 +1,15 @@
-"""Tests for framework persistence (JSON and binary snapshot round trips)."""
+"""Tests for framework persistence: binary ``.npz`` snapshot round trips.
 
+A snapshot restores the overlay byte-for-byte: config, physical graph,
+coordinates, embedding report, clustering, borders, catalog and the paths
+routed over them. Churned overlays and the gossip state plane survive it
+too. Every malformed archive (truncated, bit-flipped, empty, not a zip,
+missing arrays or meta keys, inconsistent arrays) is rejected with a
+typed :class:`~repro.util.errors.ReproError`; a byte-mutation fuzz backs
+the hand-written cases.
+"""
+
+import io
 import json
 
 import numpy as np
@@ -8,16 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.membership import DynamicOverlay
-from repro.persistence import (
-    FORMAT_VERSION,
-    SNAPSHOT_FORMAT_VERSION,
-    framework_from_dict,
-    framework_to_dict,
-    load_framework,
-    load_snapshot,
-    save_framework,
-    save_snapshot,
-)
+from repro.persistence import SNAPSHOT_FORMAT_VERSION, load_snapshot, save_snapshot
 from repro.routing import HierarchicalRouter, validate_path
 from repro.routing.batch import query_tables
 from repro.state.protocol import StateDistributionProtocol
@@ -25,11 +26,38 @@ from repro.util.errors import ReproError
 from repro.util.rng import ensure_rng
 
 
+def _arrays(path):
+    """Every array of the snapshot at *path*, by name."""
+    with np.load(str(path), allow_pickle=False) as data:
+        return {name: data[name] for name in data.files}
+
+
+def _write(path, arrays):
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+def _with_meta(arrays, edit):
+    """*arrays* with its meta JSON replaced by ``edit(meta)``'s result."""
+    meta = json.loads(str(arrays["meta"]))
+    return {**arrays, "meta": np.array(json.dumps(edit(meta)))}
+
+
 @pytest.fixture(scope="module")
-def restored(tiny_framework, tmp_path_factory):
-    path = tmp_path_factory.mktemp("artifacts") / "framework.json"
-    save_framework(tiny_framework, str(path))
-    return load_framework(str(path))
+def snapshot_path(tiny_framework, tmp_path_factory):
+    path = tmp_path_factory.mktemp("artifacts") / "overlay.npz"
+    save_snapshot(tiny_framework, str(path))
+    return path
+
+
+@pytest.fixture(scope="module")
+def binary_snapshot(snapshot_path):
+    return load_snapshot(str(snapshot_path))
+
+
+@pytest.fixture(scope="module")
+def restored(binary_snapshot):
+    return binary_snapshot.framework
 
 
 class TestRoundTrip:
@@ -39,33 +67,37 @@ class TestRoundTrip:
         assert restored.clustering.labels == tiny_framework.clustering.labels
         assert restored.hfc.borders == tiny_framework.hfc.borders
         assert list(restored.catalog.names) == list(tiny_framework.catalog.names)
+        assert restored.catalog.descriptions == tiny_framework.catalog.descriptions
 
     def test_physical_graph_preserved(self, tiny_framework, restored):
-        a = tiny_framework.physical.graph
-        b = restored.physical.graph
-        assert a.node_count == b.node_count
-        assert sorted(a.edges()) == sorted(b.edges())
+        a = tiny_framework.physical.topology
+        b = restored.physical.topology
+        assert a.graph.node_count == b.graph.node_count
+        assert sorted(a.graph.edges()) == sorted(b.graph.edges())
+        assert a.positions == b.positions
+        assert a.node_kind == b.node_kind
+        assert a.stub_domain == b.stub_domain
+        assert restored.physical.noise == tiny_framework.physical.noise
 
     def test_coordinates_preserved(self, tiny_framework, restored):
         for proxy in tiny_framework.overlay.proxies:
-            assert restored.space.coordinate(proxy) == pytest.approx(
+            assert restored.space.coordinate(proxy) == (
                 tiny_framework.space.coordinate(proxy)
             )
 
     def test_embedding_report_preserved(self, tiny_framework, restored):
-        assert (
-            restored.embedding_report.landmark_ids
-            == tiny_framework.embedding_report.landmark_ids
-        )
-        assert restored.embedding_report.measurement_count == (
-            tiny_framework.embedding_report.measurement_count
-        )
+        a, b = tiny_framework.embedding_report, restored.embedding_report
+        assert b.landmark_ids == a.landmark_ids
+        assert np.array_equal(b.landmark_coordinates, a.landmark_coordinates)
+        assert b.dimension == a.dimension
+        assert b.measurement_count == a.measurement_count
+        assert b.landmark_fit_error == a.landmark_fit_error
 
     def test_routing_identical(self, tiny_framework, restored):
         """Same overlay, same coordinates, same borders -> same paths."""
         original = HierarchicalRouter(tiny_framework.hfc)
         loaded = HierarchicalRouter(restored.hfc)
-        for seed in range(8):
+        for seed in range(10):
             request = tiny_framework.random_request(seed=seed)
             a = original.route(request)
             b = loaded.route(request)
@@ -80,34 +112,36 @@ class TestRoundTrip:
 
 
 class TestFormatGuard:
-    def test_wrong_version_rejected(self, tiny_framework):
-        payload = framework_to_dict(tiny_framework)
-        payload["format_version"] = 999
-        with pytest.raises(ReproError):
-            framework_from_dict(payload)
-
-    def test_version_constant_written(self, tiny_framework):
-        payload = framework_to_dict(tiny_framework)
-        assert payload["format_version"] == FORMAT_VERSION
-
-    def test_retired_config_fields_ignored(self, tiny_framework):
-        """Artifacts written with since-retired config knobs still load
-        (JSON and ``.npz`` loaders share the config reader)."""
-        payload = framework_to_dict(tiny_framework)
-        payload["config"]["base"].update(
-            vectorized_construction=True, query_workers=None
+    def test_wrong_version_rejected(self, snapshot_path, tmp_path):
+        """A meta without any format version (not written by
+        :func:`save_snapshot`) is refused, not guessed at."""
+        path = tmp_path / "unversioned.npz"
+        arrays = _with_meta(
+            _arrays(snapshot_path),
+            lambda meta: {k: v for k, v in meta.items() if k != "format_version"},
         )
-        assert framework_from_dict(payload).config == tiny_framework.config
+        _write(path, arrays)
+        with pytest.raises(ReproError, match="unsupported snapshot format None"):
+            load_snapshot(str(path))
 
+    def test_version_constant_written(self, snapshot_path):
+        meta = json.loads(str(_arrays(snapshot_path)["meta"]))
+        assert meta["format_version"] == SNAPSHOT_FORMAT_VERSION
 
-# -- binary snapshots --------------------------------------------------------------
+    def test_retired_config_fields_ignored(
+        self, tiny_framework, snapshot_path, tmp_path
+    ):
+        """Snapshots written with since-retired config knobs still load."""
 
+        def add_retired(meta):
+            meta["config"]["base"].update(
+                vectorized_construction=True, query_workers=None
+            )
+            return meta
 
-@pytest.fixture(scope="module")
-def binary_snapshot(tiny_framework, tmp_path_factory):
-    path = tmp_path_factory.mktemp("artifacts") / "overlay.npz"
-    save_snapshot(tiny_framework, str(path))
-    return load_snapshot(str(path))
+        path = tmp_path / "retired.npz"
+        _write(path, _with_meta(_arrays(snapshot_path), add_retired))
+        assert load_snapshot(str(path)).framework.config == tiny_framework.config
 
 
 class TestBinarySnapshot:
@@ -139,17 +173,14 @@ class TestBinarySnapshot:
     def test_no_state_plane_by_default(self, binary_snapshot):
         assert binary_snapshot.state_plane is None
 
-    def test_wrong_version_rejected(self, tiny_framework, tmp_path):
+    def test_wrong_version_rejected(self, snapshot_path, tmp_path):
         path = tmp_path / "overlay.npz"
-        save_snapshot(tiny_framework, str(path))
-        with np.load(str(path), allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
-        meta = json.loads(str(arrays["meta"]))
-        assert meta["format_version"] == SNAPSHOT_FORMAT_VERSION
-        meta["format_version"] = 999
-        arrays["meta"] = np.array(json.dumps(meta))
-        with open(path, "wb") as handle:
-            np.savez(handle, **arrays)
+
+        def bump(meta):
+            meta["format_version"] = 999
+            return meta
+
+        _write(path, _with_meta(_arrays(snapshot_path), bump))
         with pytest.raises(ReproError):
             load_snapshot(str(path))
 
@@ -285,10 +316,97 @@ class TestDeterministicNoise:
         assert probes == [second.framework.physical.measure(u, v) for _ in range(5)]
         assert self._joins(first, routers) == self._joins(second, routers)
 
-    def test_two_json_loads_measure_identically(self, tiny_framework):
-        payload = framework_to_dict(tiny_framework)
-        first, second = framework_from_dict(payload), framework_from_dict(payload)
-        u, v = tiny_framework.overlay.proxies[:2]
-        assert [first.physical.measure(u, v) for _ in range(5)] == [
-            second.physical.measure(u, v) for _ in range(5)
-        ]
+
+def _npz_bytes(arrays):
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def _flip_middle(raw):
+    mutated = bytearray(raw)
+    mutated[len(raw) // 2] ^= 0x40
+    return bytes(mutated)
+
+
+def _edit_array(name, edit):
+    def corrupt(raw, arrays):
+        return _npz_bytes({**arrays, name: edit(arrays[name].copy())})
+
+    return corrupt
+
+
+def _set_first(value):
+    def edit(codes):
+        codes[0] = value
+        return codes
+
+    return edit
+
+
+CORRUPTIONS = {
+    "truncated": lambda raw, arrays: raw[: len(raw) // 2],
+    "bit_flipped": lambda raw, arrays: _flip_middle(raw),
+    "empty": lambda raw, arrays: b"",
+    "not_a_zip": lambda raw, arrays: b"this is not a snapshot\n" * 8,
+    "array_missing": lambda raw, arrays: _npz_bytes(
+        {k: v for k, v in arrays.items() if k != "coords"}
+    ),
+    "meta_key_missing": lambda raw, arrays: _npz_bytes(
+        _with_meta(arrays, lambda meta: {k: v for k, v in meta.items() if k != "config"})
+    ),
+    "meta_not_json": lambda raw, arrays: _npz_bytes(
+        {**arrays, "meta": np.array("{not json")}
+    ),
+    "meta_is_list": lambda raw, arrays: _npz_bytes(
+        {**arrays, "meta": np.array("[1, 2]")}
+    ),
+    "edge_length_mismatch": _edit_array("edge_w", lambda w: w[:-1]),
+    "node_kind_too_high": _edit_array("phys_kind", _set_first(99)),
+    "node_kind_negative": _edit_array("phys_kind", _set_first(-1)),
+}
+
+
+class TestCorruptSnapshot:
+    """A malformed archive raises :class:`ReproError`, never a bare
+    ``BadZipFile``/``EOFError``/``KeyError``/``JSONDecodeError``/... ."""
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_rejected_with_typed_error(self, snapshot_path, tmp_path, corruption):
+        raw = snapshot_path.read_bytes()
+        path = tmp_path / "corrupt.npz"
+        path.write_bytes(CORRUPTIONS[corruption](raw, _arrays(snapshot_path)))
+        with pytest.raises(ReproError):
+            load_snapshot(str(path))
+
+    def test_low_level_error_is_chained(self, snapshot_path, tmp_path):
+        path = tmp_path / "truncated.npz"
+        path.write_bytes(snapshot_path.read_bytes()[:100])
+        with pytest.raises(ReproError) as excinfo:
+            load_snapshot(str(path))
+        assert excinfo.value.__cause__ is not None
+
+    def test_missing_path_stays_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            load_snapshot(str(tmp_path / "absent.npz"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_byte_mutations_load_or_raise_typed(
+        self, snapshot_path, tmp_path_factory, data
+    ):
+        """Flip, overwrite or cut bytes anywhere: the load either succeeds
+        (the mutation hit bytes the reader ignores) or raises ReproError."""
+        raw = bytearray(snapshot_path.read_bytes())
+        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+            at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+            raw[at] = data.draw(st.integers(0, 255), label="byte")
+        cut = data.draw(st.integers(0, len(raw)), label="keep")
+        if data.draw(st.booleans(), label="truncate"):
+            del raw[cut:]
+        path = tmp_path_factory.mktemp("fuzz") / "mutated.npz"
+        path.write_bytes(bytes(raw))
+        try:
+            load_snapshot(str(path))
+        except ReproError:
+            pass
